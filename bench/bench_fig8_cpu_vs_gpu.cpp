@@ -52,13 +52,13 @@ int main() {
     total_bytes += field.bytes();
     sz_session->compress(field, sz_config.at(field.name), c);
     sz_session->decompress(c, d);
-    sz_comp_s += c.seconds();
-    sz_dec_s += d.seconds();
+    sz_comp_s += c.telemetry.seconds;
+    sz_dec_s += d.telemetry.seconds;
     sz_compressed += c.bytes.size();
     zfp_session->compress(field, zfp_config.at(field.name), c);
     zfp_session->decompress(c, d);
-    zfp_comp_s += c.seconds();
-    zfp_dec_s += d.seconds();
+    zfp_comp_s += c.telemetry.seconds;
+    zfp_dec_s += d.telemetry.seconds;
     zfp_compressed += c.bytes.size();
   }
   const double gb = static_cast<double>(total_bytes);

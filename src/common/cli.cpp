@@ -1,7 +1,10 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
+#include "common/error.hpp"
 #include "common/str.hpp"
 
 namespace cosmo {
@@ -22,6 +25,32 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     } else {
       flags_[arg] = "1";
     }
+  }
+}
+
+CliArgs::CliArgs(int argc, const char* const* argv,
+                 std::initializer_list<std::string_view> declared)
+    : CliArgs(argc, argv) {
+  for (const auto& [key, value] : flags_) {
+    if (key == "help") continue;
+    if (std::find(declared.begin(), declared.end(), key) == declared.end()) {
+      throw InvalidArgument("unknown flag --" + key + " (see --help)");
+    }
+  }
+}
+
+CliArgs parse_tool_args(int argc, const char* const* argv,
+                        std::initializer_list<std::string_view> declared, const char* usage) {
+  try {
+    CliArgs args(argc, argv, declared);
+    if (args.has("help")) {
+      std::fputs(usage, stdout);
+      std::exit(0);
+    }
+    return args;
+  } catch (const InvalidArgument& e) {
+    std::fprintf(stderr, "%s: %s\n%s", argc > 0 ? argv[0] : "tool", e.what(), usage);
+    std::exit(2);
   }
 }
 

@@ -131,6 +131,18 @@ void parallel_for(ThreadPool* pool, std::size_t n,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void wait_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 ThreadPool& global_pool() {
   static ThreadPool pool;
   return pool;

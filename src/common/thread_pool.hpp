@@ -77,13 +77,16 @@ void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t min_grain = 1024);
 
+/// Waits for every future, then rethrows the first exception any of them
+/// holds. A plain get() loop stops at the first failure and returns while
+/// later tasks may still use the caller's stack frame and buffers.
+void wait_all(std::vector<std::future<void>>& futures);
+
 /// Process-wide default pool (lazily constructed, hardware concurrency).
 ThreadPool& global_pool();
 
 /// Wall seconds spent inside parallel_for regions, process-wide. The bench
-/// tooling uses this to measure the parallelizable fraction of a codec run
-/// on hosts with fewer cores than the requested thread count (the modeled
-/// multicore rows of EXPERIMENTS.md).
+/// tooling uses this to report the parallelizable fraction of a codec run.
 double parallel_region_seconds();
 
 /// Maps the CLI-facing `threads` knob onto a pool:

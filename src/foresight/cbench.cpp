@@ -49,7 +49,7 @@ CBenchResult CBench::run_one(const Field& field, Compressor& compressor,
   try {
     return run_session(field, compressor.name(), *session, config);
   } catch (const Error& e) {
-    if (options_.on_error == Options::OnError::kAbort) throw;
+    if (options_.on_error == OnError::kAbort) throw;
     return failed_result(options_.dataset_name, field, compressor.name(), config,
                          e.what());
   }
@@ -146,7 +146,7 @@ std::vector<CBenchResult> CBench::sweep(
       try {
         results[i] = run_session(*jobs[i].field, name, *session, *jobs[i].config, c, d);
       } catch (const Error& e) {
-        if (options_.on_error == Options::OnError::kAbort) throw;
+        if (options_.on_error == OnError::kAbort) throw;
         results[i] = failed_result(options_.dataset_name, *jobs[i].field, name,
                                    *jobs[i].config, e.what());
       }
@@ -190,14 +190,14 @@ std::vector<CBenchResult> CBench::sweep(
         try {
           results[i] = run_session(*jobs[i].field, name, *session, *jobs[i].config, c, d);
         } catch (const Error& e) {
-          if (options_.on_error == Options::OnError::kAbort) throw;
+          if (options_.on_error == OnError::kAbort) throw;
           results[i] = failed_result(options_.dataset_name, *jobs[i].field, name,
                                      *jobs[i].config, e.what());
         }
       }
     }));
   }
-  for (auto& f : done) f.get();  // rethrows the first worker exception
+  wait_all(done);  // rethrows the first worker exception
   return results;
 }
 
@@ -219,10 +219,11 @@ double CBench::overall_ratio(const std::vector<CBenchResult>& results) {
 /// (transient-fault retries), "-" = a clean run.
 std::string result_flags(const CBenchResult& r) {
   std::string flags;
-  if (r.cpu_fallback()) flags = "cpu-fb";
-  if (r.device_attempts() > 1) {
+  if (any_cpu_fallback(r.compress, r.decompress)) flags = "cpu-fb";
+  const int attempts = max_device_attempts(r.compress, r.decompress);
+  if (attempts > 1) {
     if (!flags.empty()) flags += ",";
-    flags += strprintf("x%d", r.device_attempts());
+    flags += strprintf("x%d", attempts);
   }
   return flags.empty() ? "-" : flags;
 }

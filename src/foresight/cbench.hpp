@@ -54,27 +54,12 @@ struct CBenchResult {
 
   /// Reconstructed data for downstream analysis (kept when requested).
   std::vector<float> reconstructed;
-
-  [[nodiscard]] double compress_seconds() const { return compress.seconds; }
-  [[nodiscard]] double decompress_seconds() const { return decompress.seconds; }
-  [[nodiscard]] bool has_gpu_timing() const { return compress.has_gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_compress() const { return compress.gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_decompress() const {
-    return decompress.gpu_timing;
-  }
-  /// Device-OOM degraded a stage to the host codec.
-  [[nodiscard]] bool cpu_fallback() const { return any_cpu_fallback(compress, decompress); }
-  /// Max device attempts across stages (transient-fault retries).
-  [[nodiscard]] int device_attempts() const {
-    return max_device_attempts(compress, decompress);
-  }
 };
 
 /// What a sweep does when one job throws a cosmo::Error: kAbort rethrows
 /// (the historical behavior), kContinue records a "failed" row for that job
-/// and keeps sweeping. Non-cosmo exceptions always propagate. (Historically
-/// nested as CBench::Options::OnError; now shared with the pipeline's
-/// "on_error" config knob.)
+/// and keeps sweeping. Non-cosmo exceptions always propagate. Shared with
+/// the pipeline's "on_error" config knob.
 enum class OnError { kAbort, kContinue };
 
 /// Parses "abort" / "continue"; anything else throws InvalidArgument.
@@ -101,9 +86,7 @@ class CBench {
     /// sessions serial (the jobs themselves saturate the pool). Streams are
     /// byte-identical for any value (the codecs use fixed chunk geometry).
     std::size_t session_threads = 1;
-    /// Error policy for sweep()/run_one(); see foresight::OnError. The alias
-    /// keeps the historical Options::OnError spelling compiling.
-    using OnError = foresight::OnError;
+    /// Error policy for sweep()/run_one(); see foresight::OnError.
     OnError on_error = OnError::kAbort;
   };
 

@@ -29,23 +29,6 @@ DecompressResult CodecSession::decompress(const CompressResult& compressed) {
   return out;
 }
 
-RunOutput Compressor::run(const Field& field, const CompressorConfig& config) {
-  TRACE_SPAN("session.run");
-  const std::unique_ptr<CodecSession> session = open_session();
-  CompressResult c;
-  session->compress(field, config, c);
-  DecompressResult d;
-  session->decompress(c, d);
-
-  RunOutput out;
-  out.bytes = std::move(c.bytes);
-  out.reconstructed = std::move(d.values);
-  out.compress = c.telemetry;
-  out.decompress = d.telemetry;
-  out.throughput_reportable = c.throughput_reportable;
-  return out;
-}
-
 namespace {
 
 /// Rejects configs whose mode the codec does not register; the error lists

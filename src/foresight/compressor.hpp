@@ -12,8 +12,7 @@
 /// The execution path is staged: a Compressor opens a CodecSession, and the
 /// session exposes compress() and decompress() separately so sweeps can
 /// reuse buffers across iterations, keep compressed streams around for
-/// several decompressions, or skip decompression entirely. The historical
-/// fused run() remains as a thin convenience shim over one session.
+/// several decompressions, or skip decompression entirely.
 #pragma once
 
 #include <memory>
@@ -42,8 +41,8 @@ struct CompressorConfig {
 
 /// Output of the compression stage. Self-contained: everything decompress()
 /// needs travels with the stream. The per-stage timing/fallback/retry facts
-/// live in one StageTelemetry (shared with DecompressResult / RunOutput /
-/// CBenchResult); the old field names survive as read accessors.
+/// live in one StageTelemetry (shared with DecompressResult and
+/// CBenchResult).
 struct CompressResult {
   std::vector<std::uint8_t> bytes;
   /// Value count of the original field, before any 1-D -> 3-D zero padding;
@@ -52,48 +51,12 @@ struct CompressResult {
   std::size_t original_values = 0;
   StageTelemetry telemetry;
   bool throughput_reportable = true;  ///< false for the GPU-SZ prototype
-
-  [[nodiscard]] double seconds() const { return telemetry.seconds; }
-  [[nodiscard]] bool has_gpu_timing() const { return telemetry.has_gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_timing() const { return telemetry.gpu_timing; }
-  [[nodiscard]] bool cpu_fallback() const { return telemetry.cpu_fallback; }
-  [[nodiscard]] int device_attempts() const { return telemetry.device_attempts; }
 };
 
 /// Output of the decompression stage.
 struct DecompressResult {
   std::vector<float> values;
   StageTelemetry telemetry;
-
-  [[nodiscard]] double seconds() const { return telemetry.seconds; }
-  [[nodiscard]] bool has_gpu_timing() const { return telemetry.has_gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_timing() const { return telemetry.gpu_timing; }
-  [[nodiscard]] bool cpu_fallback() const { return telemetry.cpu_fallback; }
-  [[nodiscard]] int device_attempts() const { return telemetry.device_attempts; }
-};
-
-/// Everything a single fused compress+decompress run produces (the legacy
-/// shape; produced by Compressor::run()). Carries the full per-stage
-/// telemetry, so run() reports fallback/retry facts identically to the
-/// staged path.
-struct RunOutput {
-  std::vector<std::uint8_t> bytes;
-  std::vector<float> reconstructed;
-  StageTelemetry compress;
-  StageTelemetry decompress;
-  bool throughput_reportable = true;  ///< false for the GPU-SZ prototype
-
-  [[nodiscard]] double compress_seconds() const { return compress.seconds; }
-  [[nodiscard]] double decompress_seconds() const { return decompress.seconds; }
-  [[nodiscard]] bool has_gpu_timing() const { return compress.has_gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_compress() const { return compress.gpu_timing; }
-  [[nodiscard]] const TimingBreakdown& gpu_decompress() const {
-    return decompress.gpu_timing;
-  }
-  [[nodiscard]] bool cpu_fallback() const { return any_cpu_fallback(compress, decompress); }
-  [[nodiscard]] int device_attempts() const {
-    return max_device_attempts(compress, decompress);
-  }
 };
 
 /// One codec execution context. Sessions own (or borrow) a ScratchArena so
@@ -173,9 +136,6 @@ class Compressor {
   /// pool (their modeled timings must stay call-order deterministic).
   [[nodiscard]] virtual std::unique_ptr<CodecSession> open_session(
       ScratchArena* arena = nullptr, ThreadPool* pool = nullptr) = 0;
-
-  /// Fused compress+decompress convenience over a fresh session.
-  [[nodiscard]] RunOutput run(const Field& field, const CompressorConfig& config);
 };
 
 /// Creates a compressor by registered name (CodecRegistry::make). Device

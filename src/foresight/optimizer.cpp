@@ -107,7 +107,7 @@ class EvalScheduler {
         }
       }));
     }
-    for (auto& f : done) f.get();  // rethrows the first worker exception
+    wait_all(done);  // rethrows the first worker exception
   }
 
  private:

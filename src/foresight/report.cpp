@@ -44,8 +44,8 @@ std::string render_markdown_report(const std::vector<CBenchResult>& results,
   std::size_t retried = 0;
   for (const auto& r : results) {
     if (r.status != "ok") ++failed;
-    if (r.cpu_fallback()) ++fallbacks;
-    if (r.device_attempts() > 1) ++retried;
+    if (any_cpu_fallback(r.compress, r.decompress)) ++fallbacks;
+    if (max_device_attempts(r.compress, r.decompress) > 1) ++retried;
   }
   md += strprintf("- runs: **%zu** (%zu fields x %zu compressors)\n", results.size(),
                   fields.size(), codecs.size());

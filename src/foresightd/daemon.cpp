@@ -718,7 +718,7 @@ json::Object run_roundtrip(const Field& field, foresight::CodecSession& session,
   row["original_bytes"] = field.bytes();
   row["ratio"] = analysis::compression_ratio(field.bytes(), c.bytes.size());
   row["crc32"] = static_cast<double>(bytes_crc(c.bytes));
-  row["compress_seconds"] = c.seconds();
+  row["compress_seconds"] = c.telemetry.seconds;
 
   token.check("corrupt");
   bool corrupted = false;
@@ -727,7 +727,7 @@ json::Object run_roundtrip(const Field& field, foresight::CodecSession& session,
 
   token.check("decompress");
   foresight::DecompressResult d = session.decompress(c);
-  row["decompress_seconds"] = d.seconds();
+  row["decompress_seconds"] = d.telemetry.seconds;
 
   token.check("analyze");
   const analysis::Distortion dist = analysis::compare(field.view(), d.values);
@@ -804,7 +804,7 @@ void Daemon::run_job(Job& job, foresight::SessionCache& cache, json::Object& rep
     foresight::DecompressResult d = cache.session(r.codec).decompress(c);
     reply["values"] = d.values.size();
     reply["values_crc32"] = static_cast<double>(values_crc(d.values));
-    reply["decompress_seconds"] = d.seconds();
+    reply["decompress_seconds"] = d.telemetry.seconds;
     return;
   }
 
@@ -837,7 +837,7 @@ void Daemon::run_job(Job& job, foresight::SessionCache& cache, json::Object& rep
     reply["original_bytes"] = field->bytes();
     reply["ratio"] = analysis::compression_ratio(field->bytes(), c.bytes.size());
     reply["crc32"] = static_cast<double>(bytes_crc(c.bytes));
-    reply["compress_seconds"] = c.seconds();
+    reply["compress_seconds"] = c.telemetry.seconds;
     if (r.return_bytes) {
       // Base64 expands 3→4; the encoded payload plus JSON overhead must
       // still fit one frame to be inlined.

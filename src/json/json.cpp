@@ -95,8 +95,10 @@ std::string escape(const std::string& s) {
 
 namespace {
 
+/// JSON has no spelling for inf/nan, so non-finite numbers serialize as null.
 std::string format_number(double d) {
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
+  if (!std::isfinite(d)) return "null";
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
     return strprintf("%.0f", d);
   }
   // %.17g round-trips doubles; trim to the shortest representation that does.

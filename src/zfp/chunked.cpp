@@ -82,7 +82,7 @@ std::vector<std::uint8_t> compress_chunked(std::span<const float> data, const Di
     for (std::size_t c = 0; c < ranges.size(); ++c) {
       futures.push_back(pool->submit([&run_chunk, c] { run_chunk(c); }));
     }
-    for (auto& f : futures) f.get();
+    wait_all(futures);
   } else {
     for (std::size_t c = 0; c < ranges.size(); ++c) run_chunk(c);
   }
@@ -180,7 +180,7 @@ std::vector<float> decompress_chunked(std::span<const std::uint8_t> bytes,
     for (std::size_t c = 0; c < metas.size(); ++c) {
       futures.push_back(pool->submit([&run_chunk, c] { run_chunk(c); }));
     }
-    for (auto& f : futures) f.get();
+    wait_all(futures);
   } else {
     for (std::size_t c = 0; c < metas.size(); ++c) run_chunk(c);
   }

@@ -76,13 +76,14 @@ TEST(RegistryConformance, EveryCodecRoundTripsEverySupportedMode) {
       ASSERT_NE(std::find(kAllModes.begin(), kAllModes.end(), mode), kAllModes.end())
           << name << " registers unknown mode " << mode;
       const CompressorConfig config = config_for_mode(mode);
-      const RunOutput out = codec->run(field, config);
-      ASSERT_EQ(out.reconstructed.size(), field.data.size()) << name << " " << mode;
-      ASSERT_FALSE(out.bytes.empty()) << name << " " << mode;
+      const auto session = codec->open_session();
+      const CompressResult c = session->compress(field, config);
+      const DecompressResult d = session->decompress(c);
+      ASSERT_EQ(d.values.size(), field.data.size()) << name << " " << mode;
+      ASSERT_FALSE(c.bytes.empty()) << name << " " << mode;
       for (std::size_t i = 0; i < field.data.size(); ++i) {
-        const double err =
-            std::fabs(static_cast<double>(out.reconstructed[i]) - field.data[i]);
-        ASSERT_TRUE(std::isfinite(out.reconstructed[i]))
+        const double err = std::fabs(static_cast<double>(d.values[i]) - field.data[i]);
+        ASSERT_TRUE(std::isfinite(d.values[i]))
             << name << " " << mode << " at " << i;
         if (mode == "abs" || mode == "accuracy") {
           ASSERT_LE(err, config.value * (1 + 1e-9)) << name << " " << mode << " at " << i;
@@ -212,13 +213,13 @@ TEST(RegistryConformance, ModeMismatchErrorListsSupportedModes) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field field = conformance_field();
   try {
-    (void)make_compressor("cuzfp", &sim)->run(field, {"abs", 0.1});
+    (void)make_compressor("cuzfp", &sim)->open_session()->compress(field, {"abs", 0.1});
     FAIL() << "mode mismatch did not throw";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("rate"), std::string::npos) << e.what();
   }
   try {
-    (void)make_compressor("fz-cpu")->run(field, {"rate", 8.0});
+    (void)make_compressor("fz-cpu")->open_session()->compress(field, {"rate", 8.0});
     FAIL() << "mode mismatch did not throw";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("abs"), std::string::npos) << e.what();
@@ -285,14 +286,16 @@ TEST(FzCodec, GpuVariantReportsDeviceTiming) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field field = conformance_field();
   const auto codec = make_compressor("fz-gpu", &sim);
-  const RunOutput out = codec->run(field, {"abs", 0.1});
-  EXPECT_TRUE(out.has_gpu_timing());
-  EXPECT_TRUE(out.throughput_reportable);
-  EXPECT_GT(out.gpu_compress().kernel, 0.0);
-  EXPECT_GT(out.gpu_decompress().memcpy, 0.0);
+  const auto session = codec->open_session();
+  const CompressResult c = session->compress(field, {"abs", 0.1});
+  const DecompressResult d = session->decompress(c);
+  EXPECT_TRUE(c.telemetry.has_gpu_timing);
+  EXPECT_TRUE(c.throughput_reportable);
+  EXPECT_GT(c.telemetry.gpu_timing.kernel, 0.0);
+  EXPECT_GT(d.telemetry.gpu_timing.memcpy, 0.0);
   // The device stream is the host stream: same codec, modeled transport.
   const auto host = make_compressor("fz-cpu");
-  EXPECT_EQ(out.bytes, host->open_session()->compress(field, {"abs", 0.1}).bytes);
+  EXPECT_EQ(c.bytes, host->open_session()->compress(field, {"abs", 0.1}).bytes);
 }
 
 TEST(FzCodec, OomFallsBackToHostByteIdentically) {
@@ -309,15 +312,15 @@ TEST(FzCodec, OomFallsBackToHostByteIdentically) {
   const auto codec = make_compressor("fz-gpu", &sim);
   const auto session = codec->open_session();
   const CompressResult c = session->compress(field, {"abs", 0.1});
-  EXPECT_TRUE(c.cpu_fallback());
-  EXPECT_FALSE(c.has_gpu_timing());
+  EXPECT_TRUE(c.telemetry.cpu_fallback);
+  EXPECT_FALSE(c.telemetry.has_gpu_timing);
   EXPECT_FALSE(c.throughput_reportable);
 
   const auto host = make_compressor("fz-cpu");
   EXPECT_EQ(c.bytes, host->open_session()->compress(field, {"abs", 0.1}).bytes);
 
   const DecompressResult d = session->decompress(c);
-  EXPECT_TRUE(d.cpu_fallback());
+  EXPECT_TRUE(d.telemetry.cpu_fallback);
   EXPECT_EQ(d.values.size(), field.data.size());
   EXPECT_GE(plan.counts().gpu_ooms, 2u);
   EXPECT_GE(fallbacks.value(), fallbacks_before + 2);

@@ -107,6 +107,30 @@ TEST(Cli, FlagForms) {
   EXPECT_EQ(args.positional()[0], "pos1");
 }
 
+TEST(Cli, DeclaredFlagsRejectUnknownOnes) {
+  const char* argv[] = {"prog", "--jobs", "5", "--help", "--bogus=1"};
+  EXPECT_EQ(CliArgs(3, argv, {"jobs"}).get_int("jobs", 0), 5);
+  EXPECT_TRUE(CliArgs(4, argv, {"jobs"}).has("help"));  // help is always declared
+  try {
+    (void)CliArgs(5, argv, {"jobs"});
+    FAIL() << "undeclared flag accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--bogus"), std::string::npos) << e.what();
+  }
+  EXPECT_NO_THROW((void)CliArgs(5, argv));  // the undeclared form accepts anything
+}
+
+TEST(Cli, ToolArgsHelpExitsZeroAndUnknownFlagExitsNonZero) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* help[] = {"tool", "--help"};
+  EXPECT_EXIT((void)parse_tool_args(2, help, {"jobs"}, "usage: tool [--jobs N]\n"),
+              ::testing::ExitedWithCode(0), "");
+  const char* unknown[] = {"tool", "--jobs", "3", "--jbos", "4"};
+  EXPECT_EXIT((void)parse_tool_args(5, unknown, {"jobs"}, "usage: tool [--jobs N]\n"),
+              ::testing::ExitedWithCode(2), "unknown flag --jbos");
+  EXPECT_EQ(parse_tool_args(3, unknown, {"jobs"}, "").get_int("jobs", 0), 3);
+}
+
 TEST(Env, FallbackBehaviour) {
   EXPECT_EQ(env_size("COSMO_TEST_UNSET_VAR", 17u), 17u);
   ::setenv("COSMO_TEST_SET_VAR", "64", 1);

@@ -26,6 +26,7 @@ using foresight::CompressorConfig;
 using foresight::CompressResult;
 using foresight::DecompressResult;
 using foresight::make_compressor;
+using foresight::OnError;
 
 io::Container small_nyx(std::size_t dim = 16) {
   NyxConfig config;
@@ -304,17 +305,17 @@ TEST(Fallback, CuZfpOomFallsBackToHostZfp) {
   const auto cuzfp = make_compressor("cuzfp", &sim);
   const auto session = cuzfp->open_session();
   const CompressResult c = session->compress(field, {"rate", 8.0});
-  EXPECT_TRUE(c.cpu_fallback());
-  EXPECT_FALSE(c.has_gpu_timing());
+  EXPECT_TRUE(c.telemetry.cpu_fallback);
+  EXPECT_FALSE(c.telemetry.has_gpu_timing);
   EXPECT_FALSE(c.throughput_reportable);
-  EXPECT_GE(c.seconds(), 0.0);
+  EXPECT_GE(c.telemetry.seconds, 0.0);
 
   // The fallback stream is bit-identical to the host codec's.
   const auto host = make_compressor("zfp-cpu");
   EXPECT_EQ(c.bytes, host->open_session()->compress(field, {"rate", 8.0}).bytes);
 
   const DecompressResult d = session->decompress(c);
-  EXPECT_TRUE(d.cpu_fallback());
+  EXPECT_TRUE(d.telemetry.cpu_fallback);
   EXPECT_EQ(d.values.size(), field.data.size());
   EXPECT_GE(plan.counts().gpu_ooms, 2u);
 }
@@ -331,15 +332,15 @@ TEST(Fallback, GpuSzOomFallsBackToHostSz) {
   const auto gpu_sz = make_compressor("gpu-sz", &sim);
   const auto session = gpu_sz->open_session();
   const CompressResult c = session->compress(field, {"abs", 0.1});
-  EXPECT_TRUE(c.cpu_fallback());
-  EXPECT_FALSE(c.has_gpu_timing());
+  EXPECT_TRUE(c.telemetry.cpu_fallback);
+  EXPECT_FALSE(c.telemetry.has_gpu_timing);
   EXPECT_FALSE(c.throughput_reportable);
 
   const auto host = make_compressor("sz-cpu");
   EXPECT_EQ(c.bytes, host->open_session()->compress(field, {"abs", 0.1}).bytes);
 
   const DecompressResult d = session->decompress(c);
-  EXPECT_TRUE(d.cpu_fallback());
+  EXPECT_TRUE(d.telemetry.cpu_fallback);
   EXPECT_EQ(d.values.size(), field.data.size());
 }
 
@@ -356,13 +357,13 @@ TEST(Fallback, OomFreeJobsResetTheFallbackFlags) {
   const auto session = cuzfp->open_session();
   CompressResult c;
   session->compress(field, {"rate", 8.0}, c);  // op 1: clean
-  EXPECT_FALSE(c.cpu_fallback());
+  EXPECT_FALSE(c.telemetry.cpu_fallback);
   session->compress(field, {"rate", 8.0}, c);  // op 2: clean
   session->compress(field, {"rate", 8.0}, c);  // op 3: OOM -> fallback
-  EXPECT_TRUE(c.cpu_fallback());
+  EXPECT_TRUE(c.telemetry.cpu_fallback);
   session->compress(field, {"rate", 8.0}, c);  // op 4 (fresh counter run): clean
-  EXPECT_FALSE(c.cpu_fallback()) << "stale fallback flag survived result reuse";
-  EXPECT_TRUE(c.has_gpu_timing());
+  EXPECT_FALSE(c.telemetry.cpu_fallback) << "stale fallback flag survived result reuse";
+  EXPECT_TRUE(c.telemetry.has_gpu_timing);
   EXPECT_TRUE(c.throughput_reportable);
 }
 
@@ -426,7 +427,7 @@ TEST(Containment, SweepRecordsFailedRowsAndContinues) {
   fault::Scope scope(plan);
 
   CBench bench({.keep_reconstructed = false,
-                .on_error = CBench::Options::OnError::kContinue});
+                .on_error = OnError::kContinue});
   const auto results = bench.sweep(data, *codec, {{"rate", 8.0}});
   EXPECT_EQ(results.size(), 6u);
   EXPECT_EQ(plan.counts().corruptions, 6u);
@@ -469,7 +470,7 @@ TEST(Containment, ParallelSweepRecordsFailedRows) {
 
   CBench bench({.keep_reconstructed = false,
                 .threads = 4,
-                .on_error = CBench::Options::OnError::kContinue});
+                .on_error = OnError::kContinue});
   const auto results = bench.sweep(data, *codec, {{"rate", 4.0}, {"rate", 8.0}});
   EXPECT_EQ(results.size(), 12u);
   std::size_t failed = 0;
@@ -568,7 +569,7 @@ TEST(Disabled, InactivePlanPreservesStreamsAndModeledTimings) {
 
   EXPECT_EQ(without.bytes, with.bytes);
   // The jitter stream must be untouched: modeled timings match exactly.
-  EXPECT_DOUBLE_EQ(without.seconds(), with.seconds());
+  EXPECT_DOUBLE_EQ(without.telemetry.seconds, with.telemetry.seconds);
 }
 
 }  // namespace

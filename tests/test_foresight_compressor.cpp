@@ -59,23 +59,26 @@ TEST(Reshape, PaperDimensionConversion) {
 TEST(Compressor, SzCpuAbsHonorsBound) {
   const auto codec = make_compressor("sz-cpu");
   const Field f = smooth_field(Dims::d3(16, 16, 16), 161);
-  const RunOutput out = codec->run(f, {"abs", 0.05});
-  ASSERT_EQ(out.reconstructed.size(), f.data.size());
+  const auto session = codec->open_session();
+  const CompressResult c = session->compress(f, {"abs", 0.05});
+  const DecompressResult d = session->decompress(c);
+  ASSERT_EQ(d.values.size(), f.data.size());
   for (std::size_t i = 0; i < f.data.size(); ++i) {
-    EXPECT_LE(std::fabs(out.reconstructed[i] - f.data[i]), 0.05 * (1 + 1e-9));
+    EXPECT_LE(std::fabs(d.values[i] - f.data[i]), 0.05 * (1 + 1e-9));
   }
-  EXPECT_FALSE(out.has_gpu_timing());
-  EXPECT_GE(out.compress_seconds(), 0.0);
-  EXPECT_TRUE(out.throughput_reportable);
+  EXPECT_FALSE(c.telemetry.has_gpu_timing);
+  EXPECT_GE(c.telemetry.seconds, 0.0);
+  EXPECT_TRUE(c.throughput_reportable);
 }
 
 TEST(Compressor, SzCpuPwrelMode) {
   const auto codec = make_compressor("sz-cpu");
   Field f = smooth_field(Dims::d3(8, 8, 8), 162);
   for (auto& v : f.data) v = std::fabs(v) + 1.0f;
-  const RunOutput out = codec->run(f, {"pw_rel", 0.05});
+  const auto session = codec->open_session();
+  const DecompressResult d = session->decompress(session->compress(f, {"pw_rel", 0.05}));
   for (std::size_t i = 0; i < f.data.size(); ++i) {
-    EXPECT_LE(std::fabs(out.reconstructed[i] - f.data[i]) / f.data[i],
+    EXPECT_LE(std::fabs(d.values[i] - f.data[i]) / f.data[i],
               0.05 * (1 + 1e-6));
   }
 }
@@ -83,20 +86,26 @@ TEST(Compressor, SzCpuPwrelMode) {
 TEST(Compressor, ZfpCpuBothModes) {
   const auto codec = make_compressor("zfp-cpu");
   const Field f = smooth_field(Dims::d3(16, 16, 16), 163);
-  const RunOutput rate_out = codec->run(f, {"rate", 8.0});
-  EXPECT_LE(rate_out.bytes.size() * 8.0 / f.data.size(), 8.5);
-  const RunOutput acc_out = codec->run(f, {"accuracy", 0.1});
+  const auto session = codec->open_session();
+  const CompressResult rate_c = session->compress(f, {"rate", 8.0});
+  EXPECT_LE(rate_c.bytes.size() * 8.0 / f.data.size(), 8.5);
+  const DecompressResult acc_d = session->decompress(session->compress(f, {"accuracy", 0.1}));
   for (std::size_t i = 0; i < f.data.size(); ++i) {
-    EXPECT_LE(std::fabs(acc_out.reconstructed[i] - f.data[i]), 0.1);
+    EXPECT_LE(std::fabs(acc_d.values[i] - f.data[i]), 0.1);
   }
 }
 
 TEST(Compressor, UnsupportedModeRejected) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const Field f = smooth_field(Dims::d3(8, 8, 8), 164);
-  EXPECT_THROW(make_compressor("cuzfp", &sim)->run(f, {"abs", 0.1}), InvalidArgument);
-  EXPECT_THROW(make_compressor("gpu-sz", &sim)->run(f, {"rate", 4.0}), InvalidArgument);
-  EXPECT_THROW(make_compressor("sz-cpu")->run(f, {"rate", 4.0}), InvalidArgument);
+  const auto rejects = [&](const char* name, const CompressorConfig& config) {
+    EXPECT_THROW((void)make_compressor(name, &sim)->open_session()->compress(f, config),
+                 InvalidArgument)
+        << name;
+  };
+  rejects("cuzfp", {"abs", 0.1});
+  rejects("gpu-sz", {"rate", 4.0});
+  rejects("sz-cpu", {"rate", 4.0});
 }
 
 TEST(Compressor, GpuSzAuto3dConversionFor1d) {
@@ -104,45 +113,53 @@ TEST(Compressor, GpuSzAuto3dConversionFor1d) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const auto codec = make_compressor("gpu-sz", &sim);
   const Field f = smooth_field(Dims::d1(10000), 165);
-  const RunOutput out = codec->run(f, {"abs", 0.1});
-  ASSERT_EQ(out.reconstructed.size(), f.data.size());  // padding dropped
+  const auto session = codec->open_session();
+  const CompressResult c = session->compress(f, {"abs", 0.1});
+  const DecompressResult d = session->decompress(c);
+  ASSERT_EQ(d.values.size(), f.data.size());  // padding dropped
   for (std::size_t i = 0; i < f.data.size(); ++i) {
-    EXPECT_LE(std::fabs(out.reconstructed[i] - f.data[i]), 0.1 * (1 + 1e-9));
+    EXPECT_LE(std::fabs(d.values[i] - f.data[i]), 0.1 * (1 + 1e-9));
   }
-  EXPECT_TRUE(out.has_gpu_timing());
-  EXPECT_FALSE(out.throughput_reportable);  // GPU-SZ prototype
+  EXPECT_TRUE(c.telemetry.has_gpu_timing);
+  EXPECT_FALSE(c.throughput_reportable);  // GPU-SZ prototype
 }
 
 TEST(Compressor, CuZfpProducesGpuTiming) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const auto codec = make_compressor("cuzfp", &sim);
   const Field f = smooth_field(Dims::d3(16, 16, 16), 166);
-  const RunOutput out = codec->run(f, {"rate", 4.0});
-  EXPECT_TRUE(out.has_gpu_timing());
-  EXPECT_TRUE(out.throughput_reportable);
-  EXPECT_GT(out.gpu_compress().kernel, 0.0);
-  EXPECT_GT(out.gpu_decompress().memcpy, 0.0);
-  EXPECT_DOUBLE_EQ(out.compress_seconds(), out.gpu_compress().total());
+  const auto session = codec->open_session();
+  const CompressResult c = session->compress(f, {"rate", 4.0});
+  const DecompressResult d = session->decompress(c);
+  EXPECT_TRUE(c.telemetry.has_gpu_timing);
+  EXPECT_TRUE(c.throughput_reportable);
+  EXPECT_GT(c.telemetry.gpu_timing.kernel, 0.0);
+  EXPECT_GT(d.telemetry.gpu_timing.memcpy, 0.0);
+  EXPECT_DOUBLE_EQ(c.telemetry.seconds, c.telemetry.gpu_timing.total());
 }
 
 TEST(Compressor, ZfpOmpMatchesZfpCpuQuality) {
   const auto omp = make_compressor("zfp-omp");
   const auto cpu = make_compressor("zfp-cpu");
   const Field f = smooth_field(Dims::d3(16, 16, 32), 168);
-  const RunOutput omp_out = omp->run(f, {"rate", 8.0});
-  const RunOutput cpu_out = cpu->run(f, {"rate", 8.0});
-  ASSERT_EQ(omp_out.reconstructed.size(), f.data.size());
+  const auto omp_session = omp->open_session();
+  const auto cpu_session = cpu->open_session();
+  const CompressorConfig rate{"rate", 8.0};
+  const DecompressResult omp_d = omp_session->decompress(omp_session->compress(f, rate));
+  const DecompressResult cpu_d = cpu_session->decompress(cpu_session->compress(f, rate));
+  ASSERT_EQ(omp_d.values.size(), f.data.size());
   double omp_rmse = 0.0, cpu_rmse = 0.0;
   for (std::size_t i = 0; i < f.data.size(); ++i) {
-    omp_rmse += std::pow(omp_out.reconstructed[i] - f.data[i], 2.0);
-    cpu_rmse += std::pow(cpu_out.reconstructed[i] - f.data[i], 2.0);
+    omp_rmse += std::pow(omp_d.values[i] - f.data[i], 2.0);
+    cpu_rmse += std::pow(cpu_d.values[i] - f.data[i], 2.0);
   }
   EXPECT_NEAR(std::sqrt(omp_rmse), std::sqrt(cpu_rmse),
               std::sqrt(cpu_rmse) * 0.1 + 1e-6);
   // Accuracy mode holds its bound through the chunked path too.
-  const RunOutput acc = omp->run(f, {"accuracy", 0.05});
+  const DecompressResult acc =
+      omp_session->decompress(omp_session->compress(f, {"accuracy", 0.05}));
   for (std::size_t i = 0; i < f.data.size(); ++i) {
-    EXPECT_LE(std::fabs(acc.reconstructed[i] - f.data[i]), 0.05);
+    EXPECT_LE(std::fabs(acc.values[i] - f.data[i]), 0.05);
   }
 }
 
@@ -150,11 +167,12 @@ TEST(Compressor, CuZfp1dReshapeRoundTrip) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   const auto codec = make_compressor("cuzfp", &sim);
   const Field f = smooth_field(Dims::d1(5000), 167);
-  const RunOutput out = codec->run(f, {"rate", 16.0});
-  ASSERT_EQ(out.reconstructed.size(), f.data.size());
+  const auto session = codec->open_session();
+  const DecompressResult d = session->decompress(session->compress(f, {"rate", 16.0}));
+  ASSERT_EQ(d.values.size(), f.data.size());
   double rmse = 0.0;
   for (std::size_t i = 0; i < f.data.size(); ++i) {
-    rmse += std::pow(out.reconstructed[i] - f.data[i], 2.0);
+    rmse += std::pow(d.values[i] - f.data[i], 2.0);
   }
   rmse = std::sqrt(rmse / static_cast<double>(f.data.size()));
   EXPECT_LT(rmse, 1.0);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "json/json.hpp"
 
@@ -56,6 +57,22 @@ TEST(Json, NumberFormattingRoundTrips) {
     const Value v(d);
     EXPECT_DOUBLE_EQ(parse(v.dump()).as_number(), d);
   }
+}
+
+TEST(Json, NonFiniteNumbersSerializeAsNull) {
+  // inf/nan have no JSON spelling; a lossless roundtrip's psnr_db is +inf.
+  Object inf_row;
+  inf_row["psnr_db"] = std::numeric_limits<double>::infinity();
+  Object nan_row;
+  nan_row["x"] = std::numeric_limits<double>::quiet_NaN();
+  for (const Object& row : {inf_row, nan_row}) {
+    const std::string text = Value(row).dump();
+    Value back;
+    ASSERT_NO_THROW(back = parse(text)) << text;
+    EXPECT_TRUE(back.as_object().begin()->second.is_null()) << text;
+  }
+  EXPECT_EQ(Value(inf_row).dump(), R"({"psnr_db":null})");
+  EXPECT_EQ(Value(-std::numeric_limits<double>::infinity()).dump(2), "null");
 }
 
 TEST(Json, MalformedInputsThrow) {

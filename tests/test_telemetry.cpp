@@ -264,27 +264,31 @@ void expect_tracing_invariant(const std::string& codec_name, const char* gpu_nam
   gpu::GpuSimulator sim_off(gpu::find_device("V100"));
   gpu::GpuSimulator sim_on(gpu::find_device("V100"));
 
-  const auto codec_off = make_compressor(codec_name, gpu_name ? &sim_off : nullptr);
-  const RunOutput off = codec_off->run(field, config);
+  const auto session_off =
+      make_compressor(codec_name, gpu_name ? &sim_off : nullptr)->open_session();
+  const CompressResult c_off = session_off->compress(field, config);
+  const DecompressResult d_off = session_off->decompress(c_off);
 
   Tracer::enable();
-  const auto codec_on = make_compressor(codec_name, gpu_name ? &sim_on : nullptr);
-  const RunOutput on = codec_on->run(field, config);
+  const auto session_on =
+      make_compressor(codec_name, gpu_name ? &sim_on : nullptr)->open_session();
+  const CompressResult c_on = session_on->compress(field, config);
+  const DecompressResult d_on = session_on->decompress(c_on);
   Tracer::disable();
 
   EXPECT_FALSE(Tracer::snapshot().empty()) << "the traced run must record spans";
-  EXPECT_EQ(off.bytes, on.bytes) << codec_name << ": stream differs with tracing on";
-  EXPECT_EQ(off.reconstructed, on.reconstructed);
-  EXPECT_EQ(off.compress_seconds() == off.compress_seconds(), true);  // not NaN
-  EXPECT_EQ(off.has_gpu_timing(), on.has_gpu_timing());
-  if (off.has_gpu_timing()) {
-    EXPECT_EQ(off.compress_seconds(), on.compress_seconds());
-    EXPECT_EQ(off.decompress_seconds(), on.decompress_seconds());
-    EXPECT_EQ(off.gpu_compress().init, on.gpu_compress().init);
-    EXPECT_EQ(off.gpu_compress().kernel, on.gpu_compress().kernel);
-    EXPECT_EQ(off.gpu_compress().memcpy, on.gpu_compress().memcpy);
-    EXPECT_EQ(off.gpu_compress().free, on.gpu_compress().free);
-    EXPECT_EQ(off.gpu_decompress().kernel, on.gpu_decompress().kernel);
+  EXPECT_EQ(c_off.bytes, c_on.bytes) << codec_name << ": stream differs with tracing on";
+  EXPECT_EQ(d_off.values, d_on.values);
+  EXPECT_EQ(c_off.telemetry.seconds == c_off.telemetry.seconds, true);  // not NaN
+  EXPECT_EQ(c_off.telemetry.has_gpu_timing, c_on.telemetry.has_gpu_timing);
+  if (c_off.telemetry.has_gpu_timing) {
+    EXPECT_EQ(c_off.telemetry.seconds, c_on.telemetry.seconds);
+    EXPECT_EQ(d_off.telemetry.seconds, d_on.telemetry.seconds);
+    EXPECT_EQ(c_off.telemetry.gpu_timing.init, c_on.telemetry.gpu_timing.init);
+    EXPECT_EQ(c_off.telemetry.gpu_timing.kernel, c_on.telemetry.gpu_timing.kernel);
+    EXPECT_EQ(c_off.telemetry.gpu_timing.memcpy, c_on.telemetry.gpu_timing.memcpy);
+    EXPECT_EQ(c_off.telemetry.gpu_timing.free, c_on.telemetry.gpu_timing.free);
+    EXPECT_EQ(d_off.telemetry.gpu_timing.kernel, d_on.telemetry.gpu_timing.kernel);
   }
 }
 
@@ -349,49 +353,19 @@ TEST(SpanDeterminism, SweepThreadCountDoesNotChangeJobSpans) {
 }
 
 // ---------------------------------------------------------------------------
-// run() vs run_one(): identical fallback/retry reporting (ISSUE satellite)
+// A clean device session reports no fallback or retry
 // ---------------------------------------------------------------------------
 
-TEST(RunOutputTelemetry, RunReportsFallbackIdenticallyToRunOne) {
-  const auto data = small_nyx();
-  const Field& field = data.find("baryon_density").field;
-  fault::Config cfg;
-  cfg.gpu_oom_every = 1;  // every device op OOMs -> host fallback everywhere
-
-  gpu::GpuSimulator sim_run(gpu::find_device("V100"));
-  fault::FaultPlan plan_run(cfg);
-  sim_run.set_fault_plan(&plan_run);
-  const auto codec_run = make_compressor("cuzfp", &sim_run);
-  const RunOutput out = codec_run->run(field, {"rate", 8.0});
-
-  gpu::GpuSimulator sim_bench(gpu::find_device("V100"));
-  fault::FaultPlan plan_bench(cfg);
-  sim_bench.set_fault_plan(&plan_bench);
-  const auto codec_bench = make_compressor("cuzfp", &sim_bench);
-  CBench bench({.dataset_name = "nyx"});
-  const CBenchResult row = bench.run_one(field, *codec_bench, {"rate", 8.0});
-
-  // Before StageTelemetry, RunOutput had no fallback fields at all; now both
-  // paths must agree on every reported fact.
-  EXPECT_TRUE(out.cpu_fallback());
-  EXPECT_EQ(out.cpu_fallback(), row.cpu_fallback());
-  EXPECT_EQ(out.device_attempts(), row.device_attempts());
-  EXPECT_EQ(out.has_gpu_timing(), row.compress.has_gpu_timing);
-  EXPECT_EQ(out.compress.cpu_fallback, row.compress.cpu_fallback);
-  EXPECT_EQ(out.decompress.cpu_fallback, row.decompress.cpu_fallback);
-  EXPECT_EQ(out.throughput_reportable, row.throughput_reportable);
-  EXPECT_EQ(out.bytes.size(), row.compressed_bytes);
-}
-
-TEST(RunOutputTelemetry, CleanGpuRunReportsNoFallback) {
+TEST(SessionTelemetry, CleanGpuSessionReportsNoFallback) {
   const auto data = small_nyx();
   const Field& field = data.find("baryon_density").field;
   gpu::GpuSimulator sim(gpu::find_device("V100"));
-  const auto codec = make_compressor("cuzfp", &sim);
-  const RunOutput out = codec->run(field, {"rate", 8.0});
-  EXPECT_FALSE(out.cpu_fallback());
-  EXPECT_EQ(out.device_attempts(), 1);
-  EXPECT_TRUE(out.has_gpu_timing());
+  const auto session = make_compressor("cuzfp", &sim)->open_session();
+  const CompressResult c = session->compress(field, {"rate", 8.0});
+  const DecompressResult d = session->decompress(c);
+  EXPECT_FALSE(any_cpu_fallback(c.telemetry, d.telemetry));
+  EXPECT_EQ(max_device_attempts(c.telemetry, d.telemetry), 1);
+  EXPECT_TRUE(c.telemetry.has_gpu_timing);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,9 +386,10 @@ TEST(FaultMetrics, RetriesAndFallbacksAreCounted) {
     cfg.gpu_transient_every = 2;
     fault::FaultPlan plan(cfg);
     sim.set_fault_plan(&plan);
-    const auto codec = make_compressor("cuzfp", &sim);
-    const RunOutput out = codec->run(field, {"rate", 8.0});
-    EXPECT_EQ(out.device_attempts(), 2);
+    const auto session = make_compressor("cuzfp", &sim)->open_session();
+    const CompressResult c = session->compress(field, {"rate", 8.0});
+    const DecompressResult d = session->decompress(c);
+    EXPECT_EQ(max_device_attempts(c.telemetry, d.telemetry), 2);
   }
   EXPECT_GE(reg.counter("gpu.transient_retries").value(), 1u);
 
@@ -424,9 +399,11 @@ TEST(FaultMetrics, RetriesAndFallbacksAreCounted) {
     cfg.gpu_oom_every = 1;
     fault::FaultPlan plan(cfg);
     sim.set_fault_plan(&plan);
-    const auto codec = make_compressor("cuzfp", &sim);
-    const RunOutput out = codec->run(field, {"rate", 8.0});
-    EXPECT_TRUE(out.cpu_fallback());
+    const auto session = make_compressor("cuzfp", &sim)->open_session();
+    const CompressResult c = session->compress(field, {"rate", 8.0});
+    const DecompressResult d = session->decompress(c);
+    EXPECT_TRUE(c.telemetry.cpu_fallback);
+    EXPECT_TRUE(d.telemetry.cpu_fallback);
   }
   EXPECT_GE(reg.counter("codec.cpu_fallbacks").value(), 2u);
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 
@@ -24,6 +27,22 @@ TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(2);
   auto fut = pool.submit([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(fut.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, WaitAllWaitsForEveryTaskBeforeRethrowing) {
+  // A failing first task must not let the waiter return while a later task
+  // still runs: that task may read the waiter's frame (a chunked decode
+  // reads the caller's stream buffer).
+  ThreadPool pool(2);
+  std::atomic<bool> slow_done{false};
+  std::vector<std::future<void>> futures;
+  futures.push_back(pool.submit([] { throw std::runtime_error("first"); }));
+  futures.push_back(pool.submit([&slow_done] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    slow_done = true;
+  }));
+  EXPECT_THROW(wait_all(futures), std::runtime_error);
+  EXPECT_TRUE(slow_done.load());
 }
 
 TEST(ThreadPool, WaitIdleBlocksUntilDone) {

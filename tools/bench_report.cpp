@@ -19,14 +19,9 @@
 /// runs across builds can be checked for byte-identity, and --baseline
 /// turns the tool into a regression gate (check.sh --bench-smoke).
 ///
-/// Speedup accounting: when the host has at least as many hardware threads
-/// as the entry requests, the reported speedup is the measured wall-clock
-/// ratio. On smaller hosts (the CI container has one core) wall clock
-/// cannot speed up, so the entry reports a modeled speedup instead —
-/// Amdahl with the *measured* parallel fraction of that very run (from
-/// parallel_region_seconds()) and the 0.85 per-thread efficiency the
-/// EXPERIMENTS.md multicore rows already use — and is flagged
-/// "modeled": true so nobody mistakes it for a measurement.
+/// Every reported speedup is a measured wall-clock ratio. A thread count
+/// above the host's hardware threads cannot be measured, so its entry is
+/// recorded as "skipped": true with no timings.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +34,7 @@
 #include "codec/bitstream.hpp"
 #include "codec/huffman.hpp"
 #include "codec/lzss.hpp"
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "common/thread_pool.hpp"
@@ -58,8 +54,6 @@
 namespace {
 
 using namespace cosmo;
-
-constexpr double kParallelEfficiency = 0.85;
 
 /// Smooth Nyx-like scalar field (same shape the codec microbenches use).
 std::vector<float> nyx_like_field(const Dims& dims, std::uint64_t seed) {
@@ -133,46 +127,44 @@ RunResult run_codec(const CompressFn& compress_into, const DecompressFn& decompr
   return r;
 }
 
-double amdahl(double parallel_fraction, std::size_t threads) {
-  const double n = static_cast<double>(threads) * kParallelEfficiency;
-  return 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / n);
-}
-
 double mb_per_s(std::size_t bytes, double seconds) {
   return seconds > 0.0 ? static_cast<double>(bytes) / seconds / 1e6 : 0.0;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_report [--edge N] [--repeats R] [--out FILE]\n"
+    "  sweeps {sz, zfp} x {nyx-like, hacc-like} x threads {1, 2, 4}\n"
+    "  on an N^3 synthetic field and writes BENCH_throughput.json;\n"
+    "  thread counts above the host's hardware threads are skipped\n"
+    "\n"
+    "       bench_report --kernels [--edge N] [--repeats R] [--out FILE]\n"
+    "                    [--pre FILE] [--baseline FILE] [--max-regress F]\n"
+    "                    [--check-crc FILE]\n"
+    "  single-thread per-kernel microbenchmarks -> BENCH_kernels.json;\n"
+    "  each kernel runs R repeats (default 3) and reports the best,\n"
+    "  which damps run-to-run drift\n"
+    "  --pre embeds a previous run's rates as pre_pr_mb_s + speedup;\n"
+    "  --baseline fails (exit 1) when any kernel is more than F (default\n"
+    "  0.30) slower than the same kernel in FILE;\n"
+    "  --check-crc fails (exit 1) when any kernel's output_crc32 differs\n"
+    "  from the same kernel in FILE (deterministic byte-identity gate)\n"
+    "\n"
+    "       bench_report --trace-overhead [--edge N] [--repeats R] [--out FILE]\n"
+    "  measures the disabled-tracing span cost and fails (exit 1) if the\n"
+    "  implied overhead on an SZ/ZFP round trip exceeds 1%\n"
+    "\n"
+    "       bench_report --optimizer [--dim N] [--particles P] [--threads T]\n"
+    "                    [--out FILE]\n"
+    "  runs the Section V-D configuration search twice (exhaustive, then\n"
+    "  guided) with sz-cpu on a seeded N^3 Nyx snapshot (28-bound abs\n"
+    "  lattice per field) and a seeded P-particle HACC snapshot, and\n"
+    "  writes BENCH_optimizer.json; fails (exit 1) when a guided choice\n"
+    "  is unacceptable or >2% worse CR than the exhaustive winner, or\n"
+    "  when the Nyx guided search spends more than 1/3 of the exhaustive\n"
+    "  full evaluations or less than 3x lower optimizer wall-clock\n";
+
 int usage() {
-  std::fprintf(stderr,
-               "usage: bench_report [--edge N] [--reps R] [--out FILE]\n"
-               "  sweeps {sz, zfp} x {nyx-like, hacc-like} x threads {1, 2, 4}\n"
-               "  on an N^3 synthetic field and writes BENCH_throughput.json\n"
-               "\n"
-               "       bench_report --kernels [--edge N] [--reps R] [--out FILE]\n"
-               "                    [--pre FILE] [--baseline FILE] [--max-regress F]\n"
-               "                    [--check-crc FILE]\n"
-               "  single-thread per-kernel microbenchmarks -> BENCH_kernels.json;\n"
-               "  each kernel runs R reps (default 3, --repeats is an alias) and\n"
-               "  reports the best, which damps run-to-run drift\n"
-               "  --pre embeds a previous run's rates as pre_pr_mb_s + speedup;\n"
-               "  --baseline fails (exit 1) when any kernel is more than F (default\n"
-               "  0.30) slower than the same kernel in FILE;\n"
-               "  --check-crc fails (exit 1) when any kernel's output_crc32 differs\n"
-               "  from the same kernel in FILE (deterministic byte-identity gate)\n"
-               "\n"
-               "       bench_report --trace-overhead [--edge N] [--repeats R] [--out FILE]\n"
-               "  measures the disabled-tracing span cost and fails (exit 1) if the\n"
-               "  implied overhead on an SZ/ZFP round trip exceeds 1%%\n"
-               "\n"
-               "       bench_report --optimizer [--dim N] [--particles P] [--threads T]\n"
-               "                    [--out FILE]\n"
-               "  runs the Section V-D configuration search twice (exhaustive, then\n"
-               "  guided) with sz-cpu on a seeded N^3 Nyx snapshot (28-bound abs\n"
-               "  lattice per field) and a seeded P-particle HACC snapshot, and\n"
-               "  writes BENCH_optimizer.json; fails (exit 1) when a guided choice\n"
-               "  is unacceptable or >2%% worse CR than the exhaustive winner, or\n"
-               "  when the Nyx guided search spends more than 1/3 of the exhaustive\n"
-               "  full evaluations or less than 3x lower optimizer wall-clock\n");
+  std::fputs(kUsage, stderr);
   return 2;
 }
 
@@ -747,54 +739,27 @@ int run_optimizer_bench(std::size_t dim, std::size_t particles, std::size_t thre
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t edge = 256;
+  const CliArgs args = parse_tool_args(
+      argc, argv,
+      {"edge", "repeats", "out", "kernels", "trace-overhead", "optimizer", "dim", "particles",
+       "threads", "pre", "baseline", "check-crc", "max-regress"},
+      kUsage);
+  const auto edge = static_cast<std::size_t>(args.get_int("edge", 256));
   // Every kernel runs `repeats` times and reports the best: single-shot
   // numbers drift 0.93–0.99x run to run, which made the --max-regress gate
   // noisy. 3 reps keeps the full --kernels pass under a minute at edge 256.
-  int repeats = 3;
-  bool kernels = false;
-  bool trace_overhead = false;
-  bool optimizer = false;
-  std::size_t opt_dim = 64;
-  std::size_t opt_particles = 60000;
-  std::size_t opt_threads = 1;
-  std::string out_path;
-  std::string pre_path;
-  std::string baseline_path;
-  std::string check_crc_path;
-  double max_regress = 0.30;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--edge" && i + 1 < argc) {
-      edge = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if ((arg == "--reps" || arg == "--repeats") && i + 1 < argc) {
-      repeats = std::atoi(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--kernels") {
-      kernels = true;
-    } else if (arg == "--trace-overhead") {
-      trace_overhead = true;
-    } else if (arg == "--optimizer") {
-      optimizer = true;
-    } else if (arg == "--dim" && i + 1 < argc) {
-      opt_dim = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--particles" && i + 1 < argc) {
-      opt_particles = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt_threads = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--pre" && i + 1 < argc) {
-      pre_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--check-crc" && i + 1 < argc) {
-      check_crc_path = argv[++i];
-    } else if (arg == "--max-regress" && i + 1 < argc) {
-      max_regress = std::atof(argv[++i]);
-    } else {
-      return usage();
-    }
-  }
+  const int repeats = static_cast<int>(args.get_int("repeats", 3));
+  const bool kernels = args.has("kernels");
+  const bool trace_overhead = args.has("trace-overhead");
+  const bool optimizer = args.has("optimizer");
+  const auto opt_dim = static_cast<std::size_t>(args.get_int("dim", 64));
+  const auto opt_particles = static_cast<std::size_t>(args.get_int("particles", 60000));
+  const auto opt_threads = static_cast<std::size_t>(args.get_int("threads", 1));
+  std::string out_path = args.get("out", "");
+  const std::string pre_path = args.get("pre", "");
+  const std::string baseline_path = args.get("baseline", "");
+  const std::string check_crc_path = args.get("check-crc", "");
+  const double max_regress = args.get_double("max-regress", 0.30);
   if (edge < 8 || repeats < 1) return usage();
   if (out_path.empty()) {
     out_path = optimizer ? "BENCH_optimizer.json"
@@ -871,6 +836,17 @@ int main(int argc, char** argv) {
 
       RunResult baseline;  // threads == 1
       for (const std::size_t threads : thread_counts) {
+        json::Object e;
+        e["codec"] = codec;
+        e["field"] = field.name;
+        e["threads"] = threads;
+        e["skipped"] = threads > hw_threads;
+        if (threads > hw_threads) {
+          entries.push_back(json::Value(std::move(e)));
+          std::printf("%-4s %-20s threads=%zu  skipped (%zu hardware threads)\n",
+                      codec.c_str(), field.name.c_str(), threads, hw_threads);
+          continue;
+        }
         RunResult r = run_codec(compress_into, decompress_into, threads, repeats);
         const bool is_baseline = threads == 1;
         if (is_baseline) baseline = std::move(r);
@@ -897,19 +873,7 @@ int main(int argc, char** argv) {
                 ? baseline.decompress.seconds / cur.decompress.seconds
                 : 0.0;
         const double measured_total = tn_total > 0.0 ? t1_total / tn_total : 0.0;
-        // Combined parallel fraction weights each phase by its wall share.
-        const double combined_fraction =
-            tn_total > 0.0
-                ? (cur.compress.parallel_fraction * cur.compress.seconds +
-                   cur.decompress.parallel_fraction * cur.decompress.seconds) /
-                      tn_total
-                : 0.0;
-        const bool modeled = threads > 1 && hw_threads < threads;
 
-        json::Object e;
-        e["codec"] = codec;
-        e["field"] = field.name;
-        e["threads"] = threads;
         e["compress_seconds"] = cur.compress.seconds;
         e["decompress_seconds"] = cur.decompress.seconds;
         e["compress_mb_s"] = mb_per_s(field_bytes, cur.compress.seconds);
@@ -919,27 +883,19 @@ int main(int argc, char** argv) {
         e["recon_identical_to_1_thread"] = recon_identical;
         e["parallel_fraction_compress"] = cur.compress.parallel_fraction;
         e["parallel_fraction_decompress"] = cur.decompress.parallel_fraction;
-        e["modeled"] = modeled;
         e["measured_wall_speedup"] = measured_total;
-        if (modeled) {
-          e["compress_speedup"] = amdahl(cur.compress.parallel_fraction, threads);
-          e["decompress_speedup"] = amdahl(cur.decompress.parallel_fraction, threads);
-          e["combined_speedup"] = amdahl(combined_fraction, threads);
-        } else {
-          e["compress_speedup"] = threads == 1 ? 1.0 : measured_c;
-          e["decompress_speedup"] = threads == 1 ? 1.0 : measured_d;
-          e["combined_speedup"] = threads == 1 ? 1.0 : measured_total;
-        }
+        e["compress_speedup"] = threads == 1 ? 1.0 : measured_c;
+        e["decompress_speedup"] = threads == 1 ? 1.0 : measured_d;
+        e["combined_speedup"] = threads == 1 ? 1.0 : measured_total;
         entries.push_back(json::Value(std::move(e)));
 
         std::printf(
-            "%-4s %-20s threads=%zu  comp %8.1f MB/s  dec %8.1f MB/s  "
-            "x%.2f%s  bytes %s\n",
+            "%-4s %-20s threads=%zu  comp %8.1f MB/s  dec %8.1f MB/s  x%.2f  bytes %s\n",
             codec.c_str(), field.name.c_str(), threads,
             mb_per_s(field_bytes, cur.compress.seconds),
             mb_per_s(field_bytes, cur.decompress.seconds),
             entries.back().at("combined_speedup").as_number(),
-            modeled ? " (modeled)" : "", stream_identical ? "identical" : "DIFFER");
+            stream_identical ? "identical" : "DIFFER");
       }
     }
   }
@@ -950,7 +906,6 @@ int main(int argc, char** argv) {
   root["field_bytes"] = field_bytes;
   root["repeats"] = repeats;
   root["hardware_threads"] = hw_threads;
-  root["parallel_efficiency_model"] = kParallelEfficiency;
   root["all_streams_identical"] = all_identical;
   root["entries"] = json::Value(std::move(entries));
 

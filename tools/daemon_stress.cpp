@@ -35,10 +35,6 @@
 /// statuses — check.sh uses it as the load generator for the real-binary
 /// SIGTERM drain test, where the daemon may hang up mid-run (remaining
 /// jobs are counted as unanswered, not errors).
-///
-/// Usage: daemon_stress [--jobs N] [--clients N] [--window N] [--dim N]
-///                      [--stream-dim N] [--workers N] [--queue-capacity N]
-///                      [--seed S] [--no-faults] [--socket ENDPOINT]
 #include <unistd.h>
 
 #include <algorithm>
@@ -500,7 +496,13 @@ int run_external(const CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args = parse_tool_args(
+      argc, argv,
+      {"jobs", "clients", "window", "dim", "stream-dim", "workers", "queue-capacity", "seed",
+       "no-faults", "socket"},
+      "usage: daemon_stress [--jobs N] [--clients N] [--window N] [--dim N]\n"
+      "                     [--stream-dim N] [--workers N] [--queue-capacity N]\n"
+      "                     [--seed S] [--no-faults] [--socket ENDPOINT]\n");
   try {
     if (args.has("socket")) return run_external(args);
 

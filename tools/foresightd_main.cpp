@@ -1,17 +1,7 @@
 /// \file foresightd_main.cpp
 /// \brief The foresightd binary: serve compression jobs over a Unix socket
-/// and, optionally, a TCP listener sharing the same pipeline.
-///
-/// Usage:
-///   foresightd --socket /tmp/foresightd.sock [--workers N]
-///              [--tcp-port PORT] [--tcp-host 127.0.0.1]
-///              [--tcp-port-file PATH]
-///              [--queue-capacity N] [--quota N] [--priorities N]
-///              [--default-deadline SECONDS] [--drain-budget SECONDS]
-///              [--transfer-idle SECONDS] [--transfer-budget BYTES]
-///              [--stream-threshold BYTES] [--dataset-cache BYTES]
-///              [--gpu "Tesla V100"] [--metrics-out metrics.json]
-///              [--config config.json]
+/// and, optionally, a TCP listener sharing the same pipeline. The flags are
+/// listed in kUsage below.
 ///
 /// --tcp-port 0 binds an ephemeral port; --tcp-port-file writes the bound
 /// port as a single decimal line once listening (for scripts that need to
@@ -39,6 +29,17 @@
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: foresightd --socket /tmp/foresightd.sock [--workers N]\n"
+    "                  [--tcp-port PORT] [--tcp-host 127.0.0.1]\n"
+    "                  [--tcp-port-file PATH]\n"
+    "                  [--queue-capacity N] [--quota N] [--priorities N]\n"
+    "                  [--default-deadline SECONDS] [--drain-budget SECONDS]\n"
+    "                  [--transfer-idle SECONDS] [--transfer-budget BYTES]\n"
+    "                  [--stream-threshold BYTES] [--dataset-cache BYTES]\n"
+    "                  [--gpu \"Tesla V100\"] [--metrics-out metrics.json]\n"
+    "                  [--config config.json]\n";
+
 std::atomic<int> g_signal_fd{-1};
 
 void on_signal(int) {
@@ -54,11 +55,16 @@ void on_signal(int) {
 
 int main(int argc, char** argv) {
   using namespace cosmo;
-  const CliArgs args(argc, argv);
+  const CliArgs args = parse_tool_args(
+      argc, argv,
+      {"socket", "workers", "tcp-port", "tcp-host", "tcp-port-file", "queue-capacity", "quota",
+       "priorities", "default-deadline", "drain-budget", "transfer-idle", "transfer-budget",
+       "stream-threshold", "dataset-cache", "gpu", "metrics-out", "config"},
+      kUsage);
   foresightd::DaemonOptions options;
   options.socket_path = args.get("socket", "");
   if (options.socket_path.empty()) {
-    std::fprintf(stderr, "foresightd: --socket PATH is required\n");
+    std::fprintf(stderr, "foresightd: --socket PATH is required\n%s", kUsage);
     return 2;
   }
   options.workers = static_cast<std::size_t>(args.get_int("workers", 2));

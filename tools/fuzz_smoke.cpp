@@ -9,8 +9,6 @@
 /// a sanitizer report (run under check.sh --fuzz-smoke), std::bad_alloc
 /// from an unbounded header-driven allocation, or a hang (ctest timeout) —
 /// fails the run.
-///
-/// Usage: fuzz_smoke [--cases N] [--seed S] [--tmp DIR]
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -110,7 +108,8 @@ int run_surface(const Surface& surface, std::size_t cases, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args = parse_tool_args(argc, argv, {"cases", "seed", "tmp"},
+                                       "usage: fuzz_smoke [--cases N] [--seed S] [--tmp DIR]\n");
   const std::size_t cases = static_cast<std::size_t>(args.get_int("cases", 500));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 20260805));
   const char* env_tmp = std::getenv("TMPDIR");
