@@ -8,7 +8,7 @@
 
 #include "bench_util.hpp"
 #include "foresight/cinema.hpp"
-#include "gpu/device_compressor.hpp"
+#include "gpu/sim.hpp"
 
 using namespace cosmo;
 

@@ -45,13 +45,17 @@ CodecRegistry& CodecRegistry::instance() {
   return registry;
 }
 
-void CodecRegistry::add(CodecCapabilities caps, Factory factory) {
+void CodecRegistry::add(CodecCapabilities caps, HostCodec host) {
   require(!caps.name.empty(), "codec registry: empty codec name");
   require(!caps.modes.empty(), "codec registry: '" + caps.name + "' registers no modes");
-  require(static_cast<bool>(factory), "codec registry: '" + caps.name + "' has no factory");
+  require(host.encode && host.decode,
+          "codec registry: '" + caps.name + "' has no host encode/decode pair");
   require(find(caps.name) == nullptr,
           "codec registry: duplicate registration of '" + caps.name + "'");
-  entries_.push_back({std::move(caps), std::move(factory)});
+  std::string compress_span = caps.name + ".compress";
+  std::string decompress_span = caps.name + ".decompress";
+  entries_.push_back({std::move(caps), std::move(host), std::move(compress_span),
+                      std::move(decompress_span)});
 }
 
 bool CodecRegistry::contains(const std::string& name) const { return find(name) != nullptr; }
@@ -79,7 +83,7 @@ std::unique_ptr<Compressor> CodecRegistry::make(const std::string& name,
                                 "' (registered: " + names_label() + ")");
   require(!entry->caps.needs_device || sim != nullptr,
           "make_compressor: '" + name + "' needs a GPU simulator");
-  return entry->factory(sim);
+  return std::unique_ptr<Compressor>(new Compressor(*entry, sim));
 }
 
 std::vector<std::string> CodecRegistry::names() const {

@@ -1,7 +1,13 @@
 #include "foresight/compressor.hpp"
 
-#include <algorithm>
+#include <charconv>
+#include <chrono>
+#include <cmath>
+#include <limits>
+#include <thread>
 
+#include "common/backoff.hpp"
+#include "common/error.hpp"
 #include "common/str.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
@@ -17,6 +23,165 @@ std::string CompressorConfig::label() const {
   return strprintf("%s=%g", mode.c_str(), value);
 }
 
+namespace {
+
+/// Transient device faults are retried up to this many attempts, sleeping
+/// the shared backoff schedule (common/backoff.hpp, default policy: 0.5 ms
+/// doubling to a 50 ms cap, half-range jitter) between them.
+constexpr int kDeviceAttempts = 3;
+constexpr backoff::Policy kDeviceBackoff{};
+
+/// Shortest round-trip text for a config value ("4294967297", "1e-30", "nan").
+std::string value_text(double value) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
+}
+
+/// Rejects config values no codec can honor, before any codec casts them:
+/// every mode needs a finite, positive value, and a precision is a whole
+/// bit count (zfp_params_for casts it to unsigned).
+void require_valid_value(const CodecCapabilities& caps, const CompressorConfig& config) {
+  const double v = config.value;
+  if (!std::isfinite(v) || v <= 0.0) {
+    throw InvalidArgument(caps.name + ": " + config.mode + " value " + value_text(v) +
+                          " must be finite and positive");
+  }
+  if (config.mode == "precision" &&
+      (v != std::floor(v) || v > std::numeric_limits<unsigned>::max())) {
+    throw InvalidArgument(caps.name + ": precision value " + value_text(v) +
+                          " must be a whole number of bits, at most " +
+                          std::to_string(std::numeric_limits<unsigned>::max()));
+  }
+}
+
+/// Truncates a reconstruction back to the pre-padding length recorded at
+/// compression time (no-op when the length is unknown or already right).
+void drop_padding(const CompressResult& compressed, std::vector<float>& values) {
+  if (compressed.original_values != 0) values.resize(compressed.original_values);
+}
+
+double stream_bitrate(std::size_t compressed_bytes, std::size_t values) {
+  return static_cast<double>(compressed_bytes) * 8.0 / static_cast<double>(values);
+}
+
+/// The modeled device step of one stage. \p model runs the simulator's
+/// timing model; a TransientError is retried with seeded-jitter backoff
+/// (each retry sequence claims its own decorrelation salt on the first
+/// fault, so concurrent jobs cannot herd) and propagates once the attempts
+/// are spent. Device OOM degrades the stage to its host codec: the output
+/// the host codec already produced is kept (bit-identical by construction)
+/// and \p host_seconds of measured wall time replaces the modeled breakdown.
+template <typename Model>
+void model_device_stage(StageTelemetry& telemetry, double host_seconds, Model&& model) {
+  std::uint64_t salt = 0;
+  bool salted = false;
+  try {
+    for (int attempt = 1;; ++attempt) {
+      try {
+        telemetry.set_device(model(), attempt);
+        return;
+      } catch (const TransientError&) {
+        telemetry::MetricsRegistry::instance().counter("gpu.transient_retries").add();
+        if (attempt >= kDeviceAttempts) throw;
+        if (!salted) {
+          salt = backoff::next_sequence_salt();
+          salted = true;
+        }
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(backoff::delay_seconds(kDeviceBackoff, attempt, salt)));
+      }
+    }
+  } catch (const OutOfMemoryError&) {
+    telemetry.mark_cpu_fallback();
+    telemetry.seconds = host_seconds;
+    telemetry::MetricsRegistry::instance().counter("codec.cpu_fallbacks").add();
+  }
+}
+
+}  // namespace
+
+CodecSession::CodecSession(const CodecRegistry::Entry& codec, gpu::GpuSimulator* sim,
+                           ScratchArena* arena, ThreadPool* pool)
+    : codec_(codec),
+      sim_(codec.caps.needs_device ? sim : nullptr),
+      owned_(arena ? nullptr : std::make_unique<ScratchArena>()),
+      arena_(arena ? arena : owned_.get()),
+      pool_(codec.caps.needs_device ? nullptr : pool) {}
+
+void CodecSession::compress(const Field& field, const CompressorConfig& config,
+                            CompressResult& out) {
+  TRACE_SPAN(codec_.compress_span.c_str());
+  const CodecCapabilities& caps = codec_.caps;
+  caps.require_mode(config.mode);
+  require_valid_value(caps, config);
+  if (sim_ != nullptr) {
+    out.telemetry.reset_gpu();
+  } else {
+    out.telemetry.reset_cpu();
+  }
+  out.throughput_reportable = caps.throughput_reportable;
+  out.original_values = field.data.size();
+
+  // "the compression quality on the 1-D data is not as good as that on the
+  // converted 3-D data" — convert like the paper does.
+  std::optional<ShapeAdapter> shaped;
+  if (caps.reshape_1d) shaped.emplace(field, arena());
+  const std::span<const float> values =
+      shaped ? shaped->values() : std::span<const float>(field.data);
+  const Dims& dims = shaped ? shaped->dims() : field.dims;
+
+  if (sim_ == nullptr) {
+    Timer timer;
+    codec_.host.encode(values, dims, config, pool_, out.bytes);
+    out.telemetry.seconds = timer.seconds();
+    return;
+  }
+  TRACE_SPAN("gpu.device.compress");
+  Timer timer;
+  codec_.host.encode(values, dims, config, nullptr, out.bytes);
+  const double host_seconds = timer.seconds();
+  // The kernel runs at the requested bitrate in fixed-rate mode; otherwise
+  // at the achieved one, known only after the encoder ran.
+  const double bitrate = config.mode == "rate" ? config.value
+                                               : stream_bitrate(out.bytes.size(), values.size());
+  const double kernel_gbps = sim_->kernel_rates(caps.kernel_profile, bitrate).compress_gbps;
+  model_device_stage(out.telemetry, host_seconds, [&] {
+    return sim_->model_compression(values.size() * sizeof(float), out.bytes.size(),
+                                   kernel_gbps);
+  });
+  // A fallback time describes the host, not the device.
+  if (out.telemetry.cpu_fallback) out.throughput_reportable = false;
+}
+
+void CodecSession::decompress(const CompressResult& compressed, DecompressResult& out) {
+  TRACE_SPAN(codec_.decompress_span.c_str());
+  if (sim_ == nullptr) {
+    out.telemetry.reset_cpu();
+    Timer timer;
+    codec_.host.decode(compressed.bytes, pool_, out.values);
+    drop_padding(compressed, out.values);
+    out.telemetry.seconds = timer.seconds();
+    return;
+  }
+  out.telemetry.reset_gpu();
+  TRACE_SPAN("gpu.device.decompress");
+  Timer timer;
+  codec_.host.decode(compressed.bytes, nullptr, out.values);
+  const double host_seconds = timer.seconds();
+  // The device produces the padded reshape, so the model sees its size.
+  const std::size_t decoded = out.values.size();
+  const double kernel_gbps =
+      sim_->kernel_rates(codec_.caps.kernel_profile,
+                         stream_bitrate(compressed.bytes.size(), decoded))
+          .decompress_gbps;
+  model_device_stage(out.telemetry, host_seconds, [&] {
+    return sim_->model_decompression(decoded * sizeof(float), compressed.bytes.size(),
+                                     kernel_gbps);
+  });
+  drop_padding(compressed, out.values);
+}
+
 CompressResult CodecSession::compress(const Field& field, const CompressorConfig& config) {
   CompressResult out;
   compress(field, config, out);
@@ -29,267 +194,48 @@ DecompressResult CodecSession::decompress(const CompressResult& compressed) {
   return out;
 }
 
+std::unique_ptr<CodecSession> Compressor::open_session(ScratchArena* arena,
+                                                       ThreadPool* pool) const {
+  TRACE_SPAN("session.open");
+  return std::unique_ptr<CodecSession>(new CodecSession(codec_, sim_, arena, pool));
+}
+
 namespace {
 
-/// Rejects configs whose mode the codec does not register; the error lists
-/// the supported modes (CodecCapabilities::require_mode).
-void check_mode(const std::string& got, const char* codec) {
-  CodecRegistry::instance().capabilities(codec).require_mode(got);
+/// SZ family: an abs bound directly, pw_rel through the log transform
+/// (sz/pwrel.hpp). The stream's magic tells the decoder which one it is.
+void encode_sz(std::span<const float> values, const Dims& dims,
+               const CompressorConfig& config, ThreadPool* pool,
+               std::vector<std::uint8_t>& out) {
+  if (config.mode == "abs") {
+    sz::Params params;
+    params.abs_error_bound = config.value;
+    sz::compress_into(values, dims, params, out, nullptr, pool);
+  } else {
+    sz::PwRelParams params;
+    params.pw_rel_bound = config.value;
+    sz::compress_pwrel_into(values, dims, params, out, nullptr, pool);
+  }
 }
 
-/// Truncates a reconstruction back to the pre-padding length recorded at
-/// compression time (no-op when the length is unknown or already right).
-void drop_padding(const CompressResult& compressed, std::vector<float>& values) {
-  if (compressed.original_values != 0) values.resize(compressed.original_values);
+void decode_sz(std::span<const std::uint8_t> bytes, ThreadPool* pool,
+               std::vector<float>& out) {
+  if (sz::is_pwrel_stream(bytes)) {
+    sz::decompress_pwrel_into(bytes, out, nullptr, pool);
+  } else {
+    sz::decompress_into(bytes, out, nullptr, pool);
+  }
 }
 
-/// Counts host fallbacks across all sessions; surfaced via --metrics-out.
-void count_cpu_fallback() {
-  telemetry::MetricsRegistry::instance().counter("codec.cpu_fallbacks").add();
+/// The GPU-SZ prototype is 3-D only; 1-D inputs arrive reshaped
+/// (reshape_1d), 2-D ones are rejected like the OpenMP prototype does.
+void encode_sz_3d(std::span<const float> values, const Dims& dims,
+                  const CompressorConfig& config, ThreadPool* pool,
+                  std::vector<std::uint8_t>& out) {
+  require(dims.rank() == 3,
+          "GPU-SZ supports only 3-D data; reshape 1-D inputs first (paper Sec. IV-B4)");
+  encode_sz(values, dims, config, pool, out);
 }
-
-class GpuSzSession final : public CodecSession {
- public:
-  GpuSzSession(gpu::GpuSimulator& sim, ScratchArena* arena)
-      : CodecSession(arena), device_(sim) {}
-
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("gpu-sz.compress");
-    check_mode(config.mode, "gpu-sz");
-    out.telemetry.reset_gpu();
-    out.throughput_reportable = gpu::GpuSzDevice::throughput_supported();
-    out.original_values = field.data.size();
-
-    ShapeAdapter shaped(field, arena());
-    dev_c_.bytes.swap(out.bytes);  // bring the caller's capacity in for reuse
-    try {
-      if (config.mode == "abs") {
-        device_.compress_abs_into(shaped.values(), shaped.dims(), config.value, dev_c_);
-      } else {
-        device_.compress_pwrel_into(shaped.values(), shaped.dims(), config.value, dev_c_);
-      }
-    } catch (const OutOfMemoryError&) {
-      // The job does not fit on the device; run the matching host codec
-      // (bit-identical stream) with measured wall time instead. Throughput
-      // stays non-reportable — the time no longer describes the device.
-      out.bytes.swap(dev_c_.bytes);
-      compress_on_host(shaped, config, out);
-      return;
-    }
-    out.bytes.swap(dev_c_.bytes);
-    out.telemetry.set_device(dev_c_.timing, dev_c_.attempts);
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("gpu-sz.decompress");
-    out.telemetry.reset_gpu();
-    dev_d_.values.swap(out.values);
-    try {
-      device_.decompress_into(compressed.bytes, dev_d_);
-    } catch (const OutOfMemoryError&) {
-      out.values.swap(dev_d_.values);
-      decompress_on_host(compressed, out);
-      return;
-    }
-    out.values.swap(dev_d_.values);
-    drop_padding(compressed, out.values);
-    out.telemetry.set_device(dev_d_.timing, dev_d_.attempts);
-  }
-
- private:
-  void compress_on_host(const ShapeAdapter& shaped, const CompressorConfig& config,
-                        CompressResult& out) {
-    TRACE_SPAN("gpu-sz.compress.host_fallback");
-    out.telemetry.mark_cpu_fallback();
-    out.throughput_reportable = false;
-    count_cpu_fallback();
-    Timer timer;
-    if (config.mode == "abs") {
-      sz::Params params;
-      params.abs_error_bound = config.value;
-      sz::compress_into(shaped.values(), shaped.dims(), params, out.bytes);
-    } else {
-      sz::PwRelParams params;
-      params.pw_rel_bound = config.value;
-      sz::compress_pwrel_into(shaped.values(), shaped.dims(), params, out.bytes);
-    }
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  void decompress_on_host(const CompressResult& compressed, DecompressResult& out) {
-    TRACE_SPAN("gpu-sz.decompress.host_fallback");
-    out.telemetry.mark_cpu_fallback();
-    count_cpu_fallback();
-    Timer timer;
-    if (sz::is_pwrel_stream(compressed.bytes)) {
-      sz::decompress_pwrel_into(compressed.bytes, out.values);
-    } else {
-      sz::decompress_into(compressed.bytes, out.values);
-    }
-    drop_padding(compressed, out.values);
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  gpu::GpuSzDevice device_;
-  gpu::DeviceCompressResult dev_c_;
-  gpu::DeviceDecompressResult dev_d_;
-};
-
-class GpuSzCompressor final : public Compressor {
- public:
-  explicit GpuSzCompressor(gpu::GpuSimulator& sim) : sim_(sim) {}
-
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("gpu-sz");
-  }
-  /// The pool is ignored: modeled GPU timings draw from the simulator's
-  /// jitter stream and must stay call-order deterministic.
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* /*pool*/) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<GpuSzSession>(sim_, arena);
-  }
-
- private:
-  gpu::GpuSimulator& sim_;
-};
-
-class CuZfpSession final : public CodecSession {
- public:
-  CuZfpSession(gpu::GpuSimulator& sim, ScratchArena* arena)
-      : CodecSession(arena), device_(sim) {}
-
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("cuzfp.compress");
-    check_mode(config.mode, "cuzfp");
-    out.telemetry.reset_gpu();
-    out.throughput_reportable = true;
-    out.original_values = field.data.size();
-
-    // "the compression quality on the 1-D data is not as good as that on
-    // the converted 3-D data" — convert like the paper does.
-    ShapeAdapter shaped(field, arena());
-    dev_c_.bytes.swap(out.bytes);
-    try {
-      device_.compress_into(shaped.values(), shaped.dims(), config.value, dev_c_);
-    } catch (const OutOfMemoryError&) {
-      // Device-OOM: fixed-rate ZFP on the host emits the identical stream;
-      // record the fallback and stop reporting device throughput.
-      TRACE_SPAN("cuzfp.compress.host_fallback");
-      out.bytes.swap(dev_c_.bytes);
-      out.telemetry.mark_cpu_fallback();
-      out.throughput_reportable = false;
-      count_cpu_fallback();
-      zfp::Params params;
-      params.mode = zfp::Mode::kFixedRate;
-      params.rate = config.value;
-      Timer timer;
-      zfp::compress_into(shaped.values(), shaped.dims(), params, out.bytes);
-      out.telemetry.seconds = timer.seconds();
-      return;
-    }
-    out.bytes.swap(dev_c_.bytes);
-    out.telemetry.set_device(dev_c_.timing, dev_c_.attempts);
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("cuzfp.decompress");
-    out.telemetry.reset_gpu();
-    dev_d_.values.swap(out.values);
-    try {
-      device_.decompress_into(compressed.bytes, dev_d_);
-    } catch (const OutOfMemoryError&) {
-      TRACE_SPAN("cuzfp.decompress.host_fallback");
-      out.values.swap(dev_d_.values);
-      out.telemetry.mark_cpu_fallback();
-      count_cpu_fallback();
-      Timer timer;
-      zfp::decompress_into(compressed.bytes, out.values);
-      drop_padding(compressed, out.values);
-      out.telemetry.seconds = timer.seconds();
-      return;
-    }
-    out.values.swap(dev_d_.values);
-    drop_padding(compressed, out.values);
-    out.telemetry.set_device(dev_d_.timing, dev_d_.attempts);
-  }
-
- private:
-  gpu::CuZfpDevice device_;
-  gpu::DeviceCompressResult dev_c_;
-  gpu::DeviceDecompressResult dev_d_;
-};
-
-class CuZfpCompressor final : public Compressor {
- public:
-  explicit CuZfpCompressor(gpu::GpuSimulator& sim) : sim_(sim) {}
-
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("cuzfp");
-  }
-  /// The pool is ignored: modeled GPU timings draw from the simulator's
-  /// jitter stream and must stay call-order deterministic.
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* /*pool*/) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<CuZfpSession>(sim_, arena);
-  }
-
- private:
-  gpu::GpuSimulator& sim_;
-};
-
-class SzCpuSession final : public CodecSession {
- public:
-  SzCpuSession(ScratchArena* arena, ThreadPool* pool) : CodecSession(arena, pool) {}
-
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("sz-cpu.compress");
-    check_mode(config.mode, "sz-cpu");
-    out.telemetry.reset_cpu();
-    out.throughput_reportable = true;
-    out.original_values = field.data.size();
-    Timer timer;
-    if (config.mode == "abs") {
-      sz::Params params;
-      params.abs_error_bound = config.value;
-      sz::compress_into(field.data, field.dims, params, out.bytes, nullptr, pool());
-    } else {
-      sz::PwRelParams params;
-      params.pw_rel_bound = config.value;
-      sz::compress_pwrel_into(field.data, field.dims, params, out.bytes, nullptr, pool());
-    }
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("sz-cpu.decompress");
-    out.telemetry.reset_cpu();
-    Timer timer;
-    if (sz::is_pwrel_stream(compressed.bytes)) {
-      sz::decompress_pwrel_into(compressed.bytes, out.values, nullptr, pool());
-    } else {
-      sz::decompress_into(compressed.bytes, out.values, nullptr, pool());
-    }
-    drop_padding(compressed, out.values);
-    out.telemetry.seconds = timer.seconds();
-  }
-};
-
-class SzCpuCompressor final : public Compressor {
- public:
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("sz-cpu");
-  }
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* pool) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<SzCpuSession>(arena, pool);
-  }
-};
 
 zfp::Params zfp_params_for(const CompressorConfig& config) {
   zfp::Params params;
@@ -298,6 +244,7 @@ zfp::Params zfp_params_for(const CompressorConfig& config) {
     params.rate = config.value;
   } else if (config.mode == "precision") {
     params.mode = zfp::Mode::kFixedPrecision;
+    // A whole bit count within unsigned range (require_valid_value).
     params.precision = static_cast<unsigned>(config.value);
   } else {
     params.mode = zfp::Mode::kFixedAccuracy;
@@ -306,89 +253,31 @@ zfp::Params zfp_params_for(const CompressorConfig& config) {
   return params;
 }
 
-class ZfpCpuSession final : public CodecSession {
- public:
-  ZfpCpuSession(ScratchArena* arena, ThreadPool* pool) : CodecSession(arena, pool) {}
+void encode_zfp(std::span<const float> values, const Dims& dims,
+                const CompressorConfig& config, ThreadPool* pool,
+                std::vector<std::uint8_t>& out) {
+  zfp::compress_into(values, dims, zfp_params_for(config), out, nullptr, pool);
+}
 
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("zfp-cpu.compress");
-    check_mode(config.mode, "zfp-cpu");
-    out.telemetry.reset_cpu();
-    out.throughput_reportable = true;
-    out.original_values = field.data.size();
-    const zfp::Params params = zfp_params_for(config);
-    Timer timer;
-    zfp::compress_into(field.data, field.dims, params, out.bytes, nullptr, pool());
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("zfp-cpu.decompress");
-    out.telemetry.reset_cpu();
-    Timer timer;
-    zfp::decompress_into(compressed.bytes, out.values, nullptr, pool());
-    drop_padding(compressed, out.values);
-    out.telemetry.seconds = timer.seconds();
-  }
-};
-
-class ZfpCpuCompressor final : public Compressor {
- public:
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("zfp-cpu");
-  }
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* pool) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<ZfpCpuSession>(arena, pool);
-  }
-};
+void decode_zfp(std::span<const std::uint8_t> bytes, ThreadPool* pool,
+                std::vector<float>& out) {
+  zfp::decompress_into(bytes, out, nullptr, pool);
+}
 
 /// ZFP with OpenMP-style chunk parallelism over the global thread pool —
 /// the "ZFP OpenMP" row of Fig. 8, plus the parallel decompression the
-/// released library lacked (every chunk is self-describing).
-class ZfpOmpSession final : public CodecSession {
- public:
-  explicit ZfpOmpSession(ScratchArena* arena) : CodecSession(arena) {}
+/// released library lacked (every chunk is self-describing). The session
+/// pool is ignored: the chunks already fan out over the global pool.
+void encode_zfp_chunked(std::span<const float> values, const Dims& dims,
+                        const CompressorConfig& config, ThreadPool* /*pool*/,
+                        std::vector<std::uint8_t>& out) {
+  out = zfp::compress_chunked(values, dims, zfp_params_for(config), &global_pool());
+}
 
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("zfp-omp.compress");
-    check_mode(config.mode, "zfp-omp");
-    out.telemetry.reset_cpu();
-    out.throughput_reportable = true;
-    out.original_values = field.data.size();
-    const zfp::Params params = zfp_params_for(config);
-    ThreadPool& pool = global_pool();
-    Timer timer;
-    out.bytes = zfp::compress_chunked(field.data, field.dims, params, &pool);
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("zfp-omp.decompress");
-    out.telemetry.reset_cpu();
-    ThreadPool& pool = global_pool();
-    Timer timer;
-    out.values = zfp::decompress_chunked(compressed.bytes, &pool);
-    drop_padding(compressed, out.values);
-    out.telemetry.seconds = timer.seconds();
-  }
-};
-
-class ZfpOmpCompressor final : public Compressor {
- public:
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("zfp-omp");
-  }
-  /// Ignores the session pool: chunks already fan out over the global pool.
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* /*pool*/) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<ZfpOmpSession>(arena);
-  }
-};
+void decode_zfp_chunked(std::span<const std::uint8_t> bytes, ThreadPool* /*pool*/,
+                        std::vector<float>& out) {
+  out = zfp::decompress_chunked(bytes, &global_pool());
+}
 
 /// The shared ABS-bound lattice: log-spaced fractions of the field's value
 /// range, matching the paper's per-field bound scaling.
@@ -438,13 +327,14 @@ void register_paper_codecs(CodecRegistry& registry) {
     caps.modes = {"abs", "pw_rel"};
     caps.needs_device = true;
     caps.concurrent_sessions_safe = false;  // shares the simulator jitter stream
-    caps.throughput_reportable = gpu::GpuSzDevice::throughput_supported();
+    // The paper excludes GPU-SZ throughput: the OpenMP prototype's memory
+    // layout is unoptimized, so kernel GB/s prints N/A.
+    caps.throughput_reportable = false;
     caps.abs_rate_estimable = true;  // abs path is the SZ pipeline
     caps.kernel_profile = "sz";
+    caps.reshape_1d = true;
     caps.default_sweep = sz_style_sweep();
-    registry.add(std::move(caps), [](gpu::GpuSimulator* sim) -> std::unique_ptr<Compressor> {
-      return std::make_unique<GpuSzCompressor>(*sim);
-    });
+    registry.add(std::move(caps), {encode_sz_3d, decode_sz});
   }
   {
     CodecCapabilities caps;
@@ -455,10 +345,9 @@ void register_paper_codecs(CodecRegistry& registry) {
     caps.concurrent_sessions_safe = false;
     caps.plot_dashed = true;  // the paper draws fixed-rate cuZFP series dashed
     caps.kernel_profile = "zfp";
+    caps.reshape_1d = true;
     caps.default_sweep = {rate_axis()};
-    registry.add(std::move(caps), [](gpu::GpuSimulator* sim) -> std::unique_ptr<Compressor> {
-      return std::make_unique<CuZfpCompressor>(*sim);
-    });
+    registry.add(std::move(caps), {encode_zfp, decode_zfp});
   }
   {
     CodecCapabilities caps;
@@ -467,9 +356,7 @@ void register_paper_codecs(CodecRegistry& registry) {
     caps.modes = {"abs", "pw_rel"};
     caps.abs_rate_estimable = true;
     caps.default_sweep = sz_style_sweep();
-    registry.add(std::move(caps), [](gpu::GpuSimulator*) -> std::unique_ptr<Compressor> {
-      return std::make_unique<SzCpuCompressor>();
-    });
+    registry.add(std::move(caps), {encode_sz, decode_sz});
   }
   {
     CodecCapabilities caps;
@@ -482,9 +369,7 @@ void register_paper_codecs(CodecRegistry& registry) {
     precision.kind = SweepAxis::Kind::kFixedValues;
     precision.values = {8.0, 12.0, 16.0, 20.0};
     caps.default_sweep = {rate_axis(), accuracy_axis(), precision};
-    registry.add(std::move(caps), [](gpu::GpuSimulator*) -> std::unique_ptr<Compressor> {
-      return std::make_unique<ZfpCpuCompressor>();
-    });
+    registry.add(std::move(caps), {encode_zfp, decode_zfp});
   }
   {
     CodecCapabilities caps;
@@ -495,9 +380,7 @@ void register_paper_codecs(CodecRegistry& registry) {
     // nested chunked run could deadlock waiting for its own queue.
     caps.concurrent_sessions_safe = false;
     caps.default_sweep = {rate_axis(), accuracy_axis()};
-    registry.add(std::move(caps), [](gpu::GpuSimulator*) -> std::unique_ptr<Compressor> {
-      return std::make_unique<ZfpOmpCompressor>();
-    });
+    registry.add(std::move(caps), {encode_zfp_chunked, decode_zfp_chunked});
   }
 }
 

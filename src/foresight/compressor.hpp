@@ -2,17 +2,22 @@
 /// \brief Foresight's uniform compressor interface.
 ///
 /// CBench evaluates every codec through this interface. The codec roster is
-/// open: compressors self-register in the CodecRegistry (codec_registry.hpp)
-/// with a factory plus a CodecCapabilities descriptor, and make_compressor /
-/// available_compressors are thin views over that registry. The built-in
-/// set covers the paper's evaluation codecs (gpu-sz, cuzfp, sz-cpu, zfp-cpu,
-/// zfp-omp) plus the FZ-GPU-style bitshuffle pipeline (fz-cpu, fz-gpu);
-/// `foresight_cli codecs` prints the live roster.
+/// open: a codec registers in the CodecRegistry (codec_registry.hpp) with a
+/// CodecCapabilities descriptor plus its host encode/decode pair, and
+/// make_compressor / available_compressors are thin views over that
+/// registry. The built-in set covers the paper's evaluation codecs (gpu-sz,
+/// cuzfp, sz-cpu, zfp-cpu, zfp-omp) plus the FZ-GPU-style bitshuffle
+/// pipeline (fz-cpu, fz-gpu); `foresight_cli codecs` prints the live roster.
 ///
 /// The execution path is staged: a Compressor opens a CodecSession, and the
 /// session exposes compress() and decompress() separately so sweeps can
 /// reuse buffers across iterations, keep compressed streams around for
-/// several decompressions, or skip decompression entirely.
+/// several decompressions, or skip decompression entirely. Both classes are
+/// concrete: one session class runs every codec from its registry entry
+/// (capabilities + host encode/decode pair). A device codec is its host
+/// codec plus the simulator's modeled {init, kernel, memcpy, free}
+/// breakdown; on device OOM the stage keeps the stream the host codec
+/// already produced and records a CPU fallback.
 #pragma once
 
 #include <memory>
@@ -26,7 +31,7 @@
 #include "common/thread_pool.hpp"
 #include "foresight/codec_registry.hpp"
 #include "foresight/shape_adapter.hpp"
-#include "gpu/device_compressor.hpp"
+#include "gpu/sim.hpp"
 
 namespace cosmo::foresight {
 
@@ -59,61 +64,59 @@ struct DecompressResult {
   StageTelemetry telemetry;
 };
 
-/// One codec execution context. Sessions own (or borrow) a ScratchArena so
-/// repeated compress/decompress calls reuse buffer capacity; passing the
-/// in/out overloads the same result objects across iterations reuses their
-/// capacity too. A session is NOT thread-safe — the sweep scheduler opens
-/// one per worker.
+/// One codec execution context: the one session class every registered
+/// codec runs through. Each stage validates the config, times the codec's
+/// host encode/decode pair (1-D fields reshaped first when the codec needs
+/// 3-D input), and, for device codecs, models the device execution around
+/// it. Sessions own (or borrow) a ScratchArena so repeated compress/
+/// decompress calls reuse buffer capacity; passing the in/out overloads the
+/// same result objects across iterations reuses their capacity too. A
+/// session is NOT thread-safe — the sweep scheduler opens one per worker.
 class CodecSession {
  public:
-  virtual ~CodecSession() = default;
-
   /// Compresses \p field under \p config into \p out, reusing \p out's
-  /// buffer capacity.
-  virtual void compress(const Field& field, const CompressorConfig& config,
-                        CompressResult& out) = 0;
+  /// buffer capacity. Throws InvalidArgument for an unsupported mode, a
+  /// non-finite or non-positive value, or a non-integer precision.
+  void compress(const Field& field, const CompressorConfig& config, CompressResult& out);
 
   /// Decompresses \p compressed into \p out, reusing \p out's buffer
   /// capacity. Reconstructions are truncated to compressed.original_values
   /// (dropping reshape padding) when that is non-zero.
-  virtual void decompress(const CompressResult& compressed, DecompressResult& out) = 0;
+  void decompress(const CompressResult& compressed, DecompressResult& out);
 
-  /// By-value conveniences over the in/out virtuals.
+  /// By-value conveniences over the in/out overloads.
   [[nodiscard]] CompressResult compress(const Field& field, const CompressorConfig& config);
   [[nodiscard]] DecompressResult decompress(const CompressResult& compressed);
 
   /// The arena backing this session's scratch allocations.
   [[nodiscard]] ScratchArena& arena() { return *arena_; }
 
-  /// The pool this session's intra-field kernels fan out on (null = serial).
+  /// The pool this session's intra-field kernels fan out on (null = serial;
+  /// always null for device codecs).
   [[nodiscard]] ThreadPool* pool() const { return pool_; }
 
- protected:
-  /// Borrows \p arena, or owns a private one when \p arena is null.
-  /// \p pool is the intra-field parallelism knob; sessions that parallelize
-  /// pass it down to the codec hot paths, which guarantee byte-identical
-  /// streams for any thread count.
-  explicit CodecSession(ScratchArena* arena, ThreadPool* pool = nullptr)
-      : owned_(arena ? nullptr : std::make_unique<ScratchArena>()),
-        arena_(arena ? arena : owned_.get()),
-        pool_(pool) {}
-
  private:
+  friend class Compressor;
+  /// Borrows \p arena, or owns a private one when \p arena is null. Device
+  /// codecs keep \p sim and drop \p pool; host codecs do the reverse.
+  CodecSession(const CodecRegistry::Entry& codec, gpu::GpuSimulator* sim, ScratchArena* arena,
+               ThreadPool* pool);
+
+  const CodecRegistry::Entry& codec_;
+  gpu::GpuSimulator* sim_;  ///< non-null exactly for device codecs
   std::unique_ptr<ScratchArena> owned_;
   ScratchArena* arena_;
-  ThreadPool* pool_ = nullptr;
+  ThreadPool* pool_;
 };
 
-/// Abstract compressor as seen by CBench: a registry entry that describes a
-/// codec (through its CodecCapabilities) and opens execution sessions for
-/// it. Name, modes and concurrency facts are all views over capabilities(),
-/// so a codec's single source of truth is its registry descriptor.
+/// A compressor as seen by CBench: a registry entry that describes a codec
+/// (through its CodecCapabilities) and opens execution sessions for it.
+/// Name, modes and concurrency facts are all views over capabilities(), so
+/// a codec's single source of truth is its registry descriptor.
 class Compressor {
  public:
-  virtual ~Compressor() = default;
-
   /// The registry descriptor for this codec.
-  [[nodiscard]] virtual const CodecCapabilities& capabilities() const = 0;
+  [[nodiscard]] const CodecCapabilities& capabilities() const { return codec_.caps; }
 
   [[nodiscard]] std::string name() const { return capabilities().name; }
   [[nodiscard]] std::vector<std::string> supported_modes() const {
@@ -132,10 +135,19 @@ class Compressor {
   /// Opens a session; pass an arena to share scratch buffers, or null to
   /// let the session own one. \p pool threads the session's intra-field
   /// hot paths (null = serial); the CPU codecs guarantee byte-identical
-  /// output for any thread count, and the simulated-GPU codecs ignore the
-  /// pool (their modeled timings must stay call-order deterministic).
-  [[nodiscard]] virtual std::unique_ptr<CodecSession> open_session(
-      ScratchArena* arena = nullptr, ThreadPool* pool = nullptr) = 0;
+  /// output for any thread count. The simulated-GPU codecs ignore the pool
+  /// (their modeled timings must stay call-order deterministic), and so
+  /// does zfp-omp (its chunks fan out over the global pool).
+  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena = nullptr,
+                                                           ThreadPool* pool = nullptr) const;
+
+ private:
+  friend class CodecRegistry;
+  Compressor(const CodecRegistry::Entry& codec, gpu::GpuSimulator* sim)
+      : codec_(codec), sim_(sim) {}
+
+  const CodecRegistry::Entry& codec_;
+  gpu::GpuSimulator* sim_;
 };
 
 /// Creates a compressor by registered name (CodecRegistry::make). Device

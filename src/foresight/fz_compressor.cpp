@@ -1,154 +1,35 @@
 /// \file fz_compressor.cpp
-/// \brief The fz-cpu / fz-gpu backends: the FZ-GPU-style bitshuffle
+/// \brief The fz-cpu / fz-gpu registrations: the FZ-GPU-style bitshuffle
 /// pipeline (fz/fz.hpp) behind Foresight's session interface.
 ///
-/// These two codecs exercise the registry contract: they are wired into
-/// sweeps, the optimizer, the pipeline, CBench, the CLI and the bench
-/// binaries purely through register_fz_codecs() — no dispatch layer names
-/// them. fz-cpu measures host wall time and threads the chunk pipeline on
-/// the session pool; fz-gpu pairs the same bit-exact streams with the
-/// simulator's "fz" kernel-rate profile and falls back to the host path on
-/// device OOM (identical bytes, fallback recorded).
+/// These two codecs exercise the registry contract: each is one
+/// registration — capabilities plus the host encode/decode pair — and is
+/// wired into sweeps, the optimizer, the pipeline, CBench, the CLI and the
+/// bench binaries without any dispatch layer naming it. fz-cpu measures
+/// host wall time and threads the chunk pipeline on the session pool;
+/// fz-gpu runs the same bit-exact pair under the simulator's "fz"
+/// kernel-rate profile, and on device OOM keeps the stream the host pair
+/// already produced (fallback recorded).
 #include "foresight/compressor.hpp"
 
-#include "common/timer.hpp"
 #include "fz/fz.hpp"
 
 namespace cosmo::foresight {
 
 namespace {
 
-/// Counts host fallbacks across all sessions; surfaced via --metrics-out.
-void count_fz_cpu_fallback() {
-  telemetry::MetricsRegistry::instance().counter("codec.cpu_fallbacks").add();
+void encode_fz(std::span<const float> values, const Dims& dims,
+               const CompressorConfig& config, ThreadPool* pool,
+               std::vector<std::uint8_t>& out) {
+  fz::Params params;
+  params.abs_error_bound = config.value;
+  fz::compress_into(values, dims, params, out, nullptr, pool);
 }
 
-/// Truncates a reconstruction back to the pre-padding length recorded at
-/// compression time (no-op when the length is unknown or already right).
-void drop_fz_padding(const CompressResult& compressed, std::vector<float>& values) {
-  if (compressed.original_values != 0) values.resize(compressed.original_values);
+void decode_fz(std::span<const std::uint8_t> bytes, ThreadPool* pool,
+               std::vector<float>& out) {
+  fz::decompress_into(bytes, out, nullptr, pool);
 }
-
-class FzCpuSession final : public CodecSession {
- public:
-  FzCpuSession(ScratchArena* arena, ThreadPool* pool) : CodecSession(arena, pool) {}
-
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("fz-cpu.compress");
-    CodecRegistry::instance().capabilities("fz-cpu").require_mode(config.mode);
-    out.telemetry.reset_cpu();
-    out.throughput_reportable = true;
-    out.original_values = field.data.size();
-    fz::Params params;
-    params.abs_error_bound = config.value;
-    Timer timer;
-    fz::compress_into(field.data, field.dims, params, out.bytes, nullptr, pool());
-    out.telemetry.seconds = timer.seconds();
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("fz-cpu.decompress");
-    out.telemetry.reset_cpu();
-    Timer timer;
-    fz::decompress_into(compressed.bytes, out.values, nullptr, pool());
-    drop_fz_padding(compressed, out.values);
-    out.telemetry.seconds = timer.seconds();
-  }
-};
-
-class FzCpuCompressor final : public Compressor {
- public:
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("fz-cpu");
-  }
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* pool) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<FzCpuSession>(arena, pool);
-  }
-};
-
-class FzGpuSession final : public CodecSession {
- public:
-  FzGpuSession(gpu::GpuSimulator& sim, ScratchArena* arena)
-      : CodecSession(arena), device_(sim) {}
-
-  void compress(const Field& field, const CompressorConfig& config,
-                CompressResult& out) override {
-    TRACE_SPAN("fz-gpu.compress");
-    CodecRegistry::instance().capabilities("fz-gpu").require_mode(config.mode);
-    out.telemetry.reset_gpu();
-    out.throughput_reportable = gpu::FzDevice::throughput_supported();
-    out.original_values = field.data.size();
-    dev_c_.bytes.swap(out.bytes);  // bring the caller's capacity in for reuse
-    try {
-      device_.compress_into(field.data, field.dims, config.value, dev_c_);
-    } catch (const OutOfMemoryError&) {
-      // Device-OOM: the host pipeline emits the identical stream; record
-      // the fallback and stop reporting device throughput.
-      TRACE_SPAN("fz-gpu.compress.host_fallback");
-      out.bytes.swap(dev_c_.bytes);
-      out.telemetry.mark_cpu_fallback();
-      out.throughput_reportable = false;
-      count_fz_cpu_fallback();
-      fz::Params params;
-      params.abs_error_bound = config.value;
-      Timer timer;
-      fz::compress_into(field.data, field.dims, params, out.bytes);
-      out.telemetry.seconds = timer.seconds();
-      return;
-    }
-    out.bytes.swap(dev_c_.bytes);
-    out.telemetry.set_device(dev_c_.timing, dev_c_.attempts);
-  }
-
-  void decompress(const CompressResult& compressed, DecompressResult& out) override {
-    TRACE_SPAN("fz-gpu.decompress");
-    out.telemetry.reset_gpu();
-    dev_d_.values.swap(out.values);
-    try {
-      device_.decompress_into(compressed.bytes, dev_d_);
-    } catch (const OutOfMemoryError&) {
-      TRACE_SPAN("fz-gpu.decompress.host_fallback");
-      out.values.swap(dev_d_.values);
-      out.telemetry.mark_cpu_fallback();
-      count_fz_cpu_fallback();
-      Timer timer;
-      fz::decompress_into(compressed.bytes, out.values);
-      drop_fz_padding(compressed, out.values);
-      out.telemetry.seconds = timer.seconds();
-      return;
-    }
-    out.values.swap(dev_d_.values);
-    drop_fz_padding(compressed, out.values);
-    out.telemetry.set_device(dev_d_.timing, dev_d_.attempts);
-  }
-
- private:
-  gpu::FzDevice device_;
-  gpu::DeviceCompressResult dev_c_;
-  gpu::DeviceDecompressResult dev_d_;
-};
-
-class FzGpuCompressor final : public Compressor {
- public:
-  explicit FzGpuCompressor(gpu::GpuSimulator& sim) : sim_(sim) {}
-
-  [[nodiscard]] const CodecCapabilities& capabilities() const override {
-    return CodecRegistry::instance().capabilities("fz-gpu");
-  }
-  /// The pool is ignored: modeled GPU timings draw from the simulator's
-  /// jitter stream and must stay call-order deterministic.
-  [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena,
-                                                          ThreadPool* /*pool*/) override {
-    TRACE_SPAN("session.open");
-    return std::make_unique<FzGpuSession>(sim_, arena);
-  }
-
- private:
-  gpu::GpuSimulator& sim_;
-};
 
 /// The ABS lattice both fz codecs sweep by default — the same range-scaled
 /// fractions the SZ family uses, so rate-distortion figures are comparable.
@@ -173,9 +54,7 @@ void register_fz_codecs(CodecRegistry& registry) {
     caps.summary = "FZ bitshuffle pipeline on the host (quantize + bitshuffle + zero-run)";
     caps.modes = {"abs"};
     caps.default_sweep = fz_sweep();
-    registry.add(std::move(caps), [](gpu::GpuSimulator*) -> std::unique_ptr<Compressor> {
-      return std::make_unique<FzCpuCompressor>();
-    });
+    registry.add(std::move(caps), {encode_fz, decode_fz});
   }
   {
     CodecCapabilities caps;
@@ -184,12 +63,10 @@ void register_fz_codecs(CodecRegistry& registry) {
     caps.modes = {"abs"};
     caps.needs_device = true;
     caps.concurrent_sessions_safe = false;  // shares the simulator jitter stream
-    caps.throughput_reportable = gpu::FzDevice::throughput_supported();
+    caps.throughput_reportable = true;  // kernel GB/s is the codec's headline
     caps.kernel_profile = "fz";
     caps.default_sweep = fz_sweep();
-    registry.add(std::move(caps), [](gpu::GpuSimulator* sim) -> std::unique_ptr<Compressor> {
-      return std::make_unique<FzGpuCompressor>(*sim);
-    });
+    registry.add(std::move(caps), {encode_fz, decode_fz});
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "codec/huffman.hpp"
 #include "codec/lzss.hpp"
+#include "common/str.hpp"
 #include "common/telemetry.hpp"
 
 namespace cosmo::sz {
@@ -60,8 +61,12 @@ void compress_pwrel_into(std::span<const float> data, const Dims& dims,
   TRACE_SPAN("sz.pwrel.compress");
   require(data.size() == dims.count(), "compress_pwrel: data/dims size mismatch");
   require(!data.empty(), "compress_pwrel: empty input");
-  require(params.pw_rel_bound > 0.0 && params.pw_rel_bound < 1.0,
-          "compress_pwrel: pw_rel bound must be in (0, 1)");
+  // The inner ABS compressor runs at ln(1 + p) on the log field; a bound so
+  // small that this rounds to 0 (e.g. 1e-30) is as unusable as p <= 0.
+  const double log_bound = std::log(1.0 + params.pw_rel_bound);
+  require(params.pw_rel_bound < 1.0 && log_bound > 0.0,
+          strprintf("compress_pwrel: pw_rel bound %g must be in (0, 1) with ln(1 + pw_rel) > 0",
+                    params.pw_rel_bound));
 
   // Parallel max reduction: fabs/max are exact, so the result is identical
   // for any chunking.
@@ -107,7 +112,7 @@ void compress_pwrel_into(std::span<const float> data, const Dims& dims,
   // eb = ln(1 + p) makes the upper ratio exactly 1 + p and the lower
   // 1/(1+p) > 1 - p, so the point-wise relative bound holds on both sides.
   Params abs_params;
-  abs_params.abs_error_bound = std::log(1.0 + params.pw_rel_bound);
+  abs_params.abs_error_bound = log_bound;
   abs_params.block_edge = params.block_edge;
   abs_params.regression = params.regression;
   abs_params.lossless = params.lossless;

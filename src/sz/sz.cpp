@@ -1,5 +1,6 @@
 #include "sz/sz.hpp"
 
+#include <cmath>
 #include <cstring>
 
 #include "codec/huffman.hpp"
@@ -146,6 +147,8 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
   const std::size_t edge =
       params.block_edge ? params.block_edge : default_block_edge(dims.rank());
   require(edge >= 2, "sz::compress: block edge must be >= 2");
+  require(std::isfinite(params.abs_error_bound) && params.abs_error_bound > 0.0,
+          "sz::compress: abs error bound must be finite and positive");
 
   const Quantizer quant(params.abs_error_bound, params.radius);
   const BlockLayout layout(dims, edge);

@@ -3,8 +3,9 @@
 /// future — is exercised through the same contract, driven purely by its
 /// CodecCapabilities: round-trip per supported mode, session reuse,
 /// corruption containment, on_error=continue, capability consistency, and
-/// the error messages the registry promises. Plus the FZ-specific facts
-/// (device timing, OOM fallback byte-identity, trace spans, metrics).
+/// the error messages the registry promises, and the per-codec trace spans.
+/// Plus the FZ-specific facts (device timing, OOM fallback byte-identity,
+/// metrics).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -196,6 +197,38 @@ TEST(RegistryConformance, SweepContinuesPastFailingConfigs) {
 // Registry error messages and capability consistency
 // ---------------------------------------------------------------------------
 
+TEST(RegistryConformance, EveryCodecEmitsSessionSpans) {
+  // One session class serves every codec; the "<name>.compress" and
+  // "<name>.decompress" spans the trace tooling keys on must survive it.
+  TracerOffGuard guard;
+  gpu::GpuSimulator sim(gpu::find_device("V100"));
+  const Field field = conformance_field();
+  for (const auto& name : available_compressors()) {
+    const auto& caps = CodecRegistry::instance().capabilities(name);
+    const auto codec = make_compressor(name, &sim);
+    Tracer::enable();
+    {
+      const auto session = codec->open_session();
+      const CompressResult c = session->compress(field, config_for_mode(caps.modes.front()));
+      (void)session->decompress(c);
+    }
+    Tracer::disable();
+    std::vector<std::string> seen;
+    for (const auto& span : Tracer::snapshot()) seen.emplace_back(span.name);
+    for (const std::string& expected : {name + ".compress", name + ".decompress"}) {
+      EXPECT_NE(std::find(seen.begin(), seen.end(), expected), seen.end())
+          << "missing span " << expected;
+    }
+    if (name == "fz-cpu") {
+      for (const char* expected : {"fz.compress", "fz.decompress"}) {
+        EXPECT_NE(std::find(seen.begin(), seen.end(), expected), seen.end())
+            << "missing span " << expected;
+      }
+    }
+    Tracer::clear();
+  }
+}
+
 TEST(RegistryConformance, UnknownCodecErrorListsRegisteredNames) {
   try {
     (void)make_compressor("no-such-codec");
@@ -324,26 +357,6 @@ TEST(FzCodec, OomFallsBackToHostByteIdentically) {
   EXPECT_EQ(d.values.size(), field.data.size());
   EXPECT_GE(plan.counts().gpu_ooms, 2u);
   EXPECT_GE(fallbacks.value(), fallbacks_before + 2);
-}
-
-TEST(FzCodec, EmitsTraceSpans) {
-  TracerOffGuard guard;
-  const Field field = conformance_field();
-  const auto codec = make_compressor("fz-cpu");
-  Tracer::enable();
-  {
-    const auto session = codec->open_session();
-    const CompressResult c = session->compress(field, {"abs", 0.1});
-    (void)session->decompress(c);
-  }
-  Tracer::disable();
-  std::vector<std::string> seen;
-  for (const auto& span : Tracer::snapshot()) seen.emplace_back(span.name);
-  for (const char* expected :
-       {"fz-cpu.compress", "fz.compress", "fz-cpu.decompress", "fz.decompress"}) {
-    EXPECT_NE(std::find(seen.begin(), seen.end(), expected), seen.end())
-        << "missing span " << expected;
-  }
 }
 
 }  // namespace

@@ -247,29 +247,22 @@ TEST(ContainerLoad, ErrorsNameVariableAndOffset) {
 // Transient GPU faults: bounded retry with backoff
 // ---------------------------------------------------------------------------
 
-gpu::RetryPolicy fast_retry() {
-  gpu::RetryPolicy p;
-  p.max_attempts = 3;
-  p.base_delay_seconds = 1e-6;
-  p.max_delay_seconds = 1e-5;
-  return p;
-}
-
 TEST(Retry, TransientFaultRetriedThenSucceeds) {
   gpu::GpuSimulator sim(gpu::find_device("V100"));
   fault::Config cfg;
   cfg.gpu_transient_every = 2;  // device ops 2, 4, ... fault
   fault::FaultPlan plan(cfg);
   sim.set_fault_plan(&plan);
-  gpu::CuZfpDevice dev(sim);
-  dev.set_retry_policy(fast_retry());
+  const auto cuzfp = make_compressor("cuzfp", &sim);
+  const auto session = cuzfp->open_session();
 
   const auto data = small_nyx();
   const Field& field = data.find("baryon_density").field;
-  const auto first = dev.compress(field.data, field.dims, 8.0);
-  EXPECT_EQ(first.attempts, 1);  // op 1 passes
-  const auto second = dev.compress(field.data, field.dims, 8.0);
-  EXPECT_EQ(second.attempts, 2);  // op 2 faults, retry op 3 passes
+  const CompressResult first = session->compress(field, {"rate", 8.0});
+  EXPECT_EQ(first.telemetry.device_attempts, 1);  // op 1 passes
+  const CompressResult second = session->compress(field, {"rate", 8.0});
+  EXPECT_EQ(second.telemetry.device_attempts, 2);  // op 2 faults, retry op 3 passes
+  EXPECT_TRUE(second.telemetry.has_gpu_timing);
   EXPECT_EQ(plan.counts().gpu_transients, 1u);
   EXPECT_EQ(first.bytes, second.bytes) << "retries must not change the stream";
 }
@@ -280,12 +273,11 @@ TEST(Retry, ExhaustedRetriesPropagateTransientError) {
   cfg.gpu_transient_every = 1;  // every device op faults
   fault::FaultPlan plan(cfg);
   sim.set_fault_plan(&plan);
-  gpu::CuZfpDevice dev(sim);
-  dev.set_retry_policy(fast_retry());
+  const auto cuzfp = make_compressor("cuzfp", &sim);
 
   const auto data = small_nyx();
   const Field& field = data.find("baryon_density").field;
-  EXPECT_THROW((void)dev.compress(field.data, field.dims, 8.0), TransientError);
+  EXPECT_THROW((void)cuzfp->open_session()->compress(field, {"rate", 8.0}), TransientError);
   EXPECT_EQ(plan.counts().gpu_transients, 3u);  // one per attempt
 }
 
@@ -342,6 +334,51 @@ TEST(Fallback, GpuSzOomFallsBackToHostSz) {
   const DecompressResult d = session->decompress(c);
   EXPECT_TRUE(d.telemetry.cpu_fallback);
   EXPECT_EQ(d.values.size(), field.data.size());
+}
+
+TEST(Fallback, OomKeepsTheStreamTheHostCodecAlreadyProduced) {
+  // A device-OOM stage keeps the host codec's output instead of running the
+  // host codec a second time: one encode span per compress, one decode span
+  // per decompress, and the stream still equals the host twin's.
+  struct Case {
+    const char* device;
+    const char* host;
+    CompressorConfig config;
+    const char* encode_span;
+    const char* decode_span;
+  };
+  const auto data = small_nyx();
+  const Field& field = data.find("baryon_density").field;
+  for (const Case& k : {Case{"cuzfp", "zfp-cpu", {"rate", 8.0}, "zfp.block_scan.encode",
+                             "zfp.block_scan.decode"},
+                        Case{"gpu-sz", "sz-cpu", {"abs", 0.1}, "sz.lorenzo_quantize",
+                             "sz.reconstruct"},
+                        Case{"fz-gpu", "fz-cpu", {"abs", 0.1}, "fz.compress", "fz.decompress"}}) {
+    gpu::GpuSimulator sim(gpu::find_device("V100"));
+    fault::Config cfg;
+    cfg.gpu_oom_every = 1;
+    fault::FaultPlan plan(cfg);
+    sim.set_fault_plan(&plan);
+    const auto session = make_compressor(k.device, &sim)->open_session();
+
+    telemetry::Tracer::enable();
+    const CompressResult c = session->compress(field, k.config);
+    const DecompressResult d = session->decompress(c);
+    telemetry::Tracer::disable();
+    std::size_t encodes = 0;
+    std::size_t decodes = 0;
+    for (const auto& span : telemetry::Tracer::snapshot()) {
+      encodes += std::string(span.name) == k.encode_span;
+      decodes += std::string(span.name) == k.decode_span;
+    }
+    telemetry::Tracer::clear();
+    EXPECT_EQ(encodes, 1u) << k.device;
+    EXPECT_EQ(decodes, 1u) << k.device;
+    EXPECT_TRUE(c.telemetry.cpu_fallback) << k.device;
+    EXPECT_TRUE(d.telemetry.cpu_fallback) << k.device;
+    EXPECT_EQ(c.bytes, make_compressor(k.host)->open_session()->compress(field, k.config).bytes)
+        << k.device;
+  }
 }
 
 TEST(Fallback, OomFreeJobsResetTheFallbackFlags) {

@@ -108,6 +108,44 @@ TEST(Compressor, UnsupportedModeRejected) {
   rejects("sz-cpu", {"rate", 4.0});
 }
 
+TEST(Compressor, RejectsValuesNoCodecCanHonor) {
+  // Config values arrive from pipeline JSON, the CLI and daemon requests.
+  // Every mode needs a finite, positive value, and a precision is a whole
+  // bit count: 4294967297 once wrapped to precision 1 and 2.5 truncated to
+  // 2. The error names the codec, the mode and the value.
+  gpu::GpuSimulator sim(gpu::find_device("V100"));
+  const Field f = smooth_field(Dims::d3(8, 8, 8), 167);
+  const auto rejects = [&](const char* name, const char* mode, double value,
+                           const char* value_text) {
+    try {
+      (void)make_compressor(name, &sim)->open_session()->compress(f, {mode, value});
+      ADD_FAILURE() << name << " accepted " << mode << " " << value;
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      for (const char* part : {name, mode, value_text}) {
+        EXPECT_NE(what.find(part), std::string::npos) << what << " lacks " << part;
+      }
+    }
+  };
+  for (const char* name : {"zfp-cpu", "zfp-omp"}) {
+    rejects(name, "rate", std::nan(""), "nan");
+    rejects(name, "rate", INFINITY, "inf");
+    rejects(name, "rate", 0.0, "0");
+    rejects(name, "accuracy", -1e-3, "-0.001");
+  }
+  rejects("zfp-cpu", "precision", 4294967297.0, "4294967297");
+  rejects("zfp-cpu", "precision", -4294967295.0, "-4294967295");
+  rejects("zfp-cpu", "precision", 4294967304.0, "4294967304");
+  rejects("zfp-cpu", "precision", 2.5, "2.5");
+  for (const char* name : {"sz-cpu", "gpu-sz"}) {
+    rejects(name, "abs", 0.0, "0");
+    rejects(name, "abs", -1.0, "-1");
+    rejects(name, "abs", std::nan(""), "nan");
+  }
+  // Whole, in-range precisions still compress.
+  EXPECT_NO_THROW((void)make_compressor("zfp-cpu")->open_session()->compress(f, {"precision", 16}));
+}
+
 TEST(Compressor, GpuSzAuto3dConversionFor1d) {
   // The paper's procedure: 1-D HACC arrays are reshaped before GPU-SZ.
   gpu::GpuSimulator sim(gpu::find_device("V100"));

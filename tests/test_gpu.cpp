@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "gpu/device_compressor.hpp"
+#include "foresight/compressor.hpp"
 #include "gpu/sim.hpp"
 #include "gpu/specs.hpp"
 #include "random/rng.hpp"
@@ -154,56 +154,64 @@ TEST(Sim, MeasureWithWarmupCollectsStats) {
   EXPECT_LT(stats.stddev() / stats.mean(), 0.05);
 }
 
+// Device codecs run through the one session class: the host codec's
+// bit-exact stream plus the simulator's modeled breakdown.
+
+Field random_field(const Dims& dims, std::uint64_t seed, double lo, double hi) {
+  Rng rng(seed);
+  std::vector<float> data(dims.count());
+  for (auto& v : data) v = static_cast<float>(rng.uniform(lo, hi));
+  return Field("f", dims, std::move(data));
+}
+
 TEST(DeviceCompressor, CuZfpRoundTripWithTiming) {
   GpuSimulator sim(find_device("V100"));
-  CuZfpDevice device(sim);
-  const Dims dims = Dims::d3(16, 16, 16);
-  Rng rng(151);
-  std::vector<float> data(dims.count());
-  for (auto& v : data) v = static_cast<float>(rng.uniform(-10.0, 10.0));
-  const auto c = device.compress(data, dims, 8.0);
-  EXPECT_GT(c.kernel_gbps, 0.0);
-  EXPECT_GT(c.timing.total(), 0.0);
-  const auto d = device.decompress(c.bytes);
-  EXPECT_EQ(d.dims, dims);
-  EXPECT_EQ(d.values.size(), data.size());
-  EXPECT_TRUE(CuZfpDevice::throughput_supported());
+  const auto cuzfp = foresight::make_compressor("cuzfp", &sim);
+  const auto session = cuzfp->open_session();
+  const Field field = random_field(Dims::d3(16, 16, 16), 151, -10.0, 10.0);
+  const auto c = session->compress(field, {"rate", 8.0});
+  EXPECT_TRUE(c.telemetry.has_gpu_timing);
+  EXPECT_GT(c.telemetry.gpu_timing.kernel, 0.0);
+  EXPECT_GT(c.telemetry.gpu_timing.total(), 0.0);
+  const auto d = session->decompress(c);
+  EXPECT_TRUE(d.telemetry.has_gpu_timing);
+  EXPECT_EQ(d.values.size(), field.data.size());
+  EXPECT_TRUE(c.throughput_reportable);
 }
 
 TEST(DeviceCompressor, GpuSzAbsRoundTripWithinBound) {
   GpuSimulator sim(find_device("V100"));
-  GpuSzDevice device(sim);
-  const Dims dims = Dims::d3(16, 16, 16);
-  Rng rng(152);
-  std::vector<float> data(dims.count());
-  for (auto& v : data) v = static_cast<float>(rng.uniform(0.0, 100.0));
-  const auto c = device.compress_abs(data, dims, 0.5);
-  const auto d = device.decompress(c.bytes);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_LE(std::fabs(d.values[i] - data[i]), 0.5 * (1 + 1e-9));
+  const auto gpu_sz = foresight::make_compressor("gpu-sz", &sim);
+  const auto session = gpu_sz->open_session();
+  const Field field = random_field(Dims::d3(16, 16, 16), 152, 0.0, 100.0);
+  const auto c = session->compress(field, {"abs", 0.5});
+  const auto d = session->decompress(c);
+  ASSERT_EQ(d.values.size(), field.data.size());
+  for (std::size_t i = 0; i < field.data.size(); ++i) {
+    EXPECT_LE(std::fabs(d.values[i] - field.data[i]), 0.5 * (1 + 1e-9));
   }
-  EXPECT_FALSE(GpuSzDevice::throughput_supported());
+  EXPECT_FALSE(c.throughput_reportable);
 }
 
 TEST(DeviceCompressor, GpuSzPwrelDispatchOnDecompress) {
   GpuSimulator sim(find_device("V100"));
-  GpuSzDevice device(sim);
-  const Dims dims = Dims::d3(8, 8, 8);
-  Rng rng(153);
-  std::vector<float> data(dims.count());
-  for (auto& v : data) v = static_cast<float>(rng.uniform(1.0, 1000.0));
-  const auto c = device.compress_pwrel(data, dims, 0.05);
-  const auto d = device.decompress(c.bytes);  // must auto-detect PW_REL stream
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_LE(std::fabs(d.values[i] - data[i]) / data[i], 0.05 * (1 + 1e-6));
+  const auto gpu_sz = foresight::make_compressor("gpu-sz", &sim);
+  const auto session = gpu_sz->open_session();
+  const Field field = random_field(Dims::d3(8, 8, 8), 153, 1.0, 1000.0);
+  const auto c = session->compress(field, {"pw_rel", 0.05});
+  const auto d = session->decompress(c);  // must auto-detect PW_REL stream
+  ASSERT_EQ(d.values.size(), field.data.size());
+  for (std::size_t i = 0; i < field.data.size(); ++i) {
+    EXPECT_LE(std::fabs(d.values[i] - field.data[i]) / field.data[i], 0.05 * (1 + 1e-6));
   }
 }
 
-TEST(DeviceCompressor, GpuSzRejects1d) {
+TEST(DeviceCompressor, GpuSzRejects2d) {
+  // 1-D fields are reshaped to 3-D; a 2-D field has no paper conversion.
   GpuSimulator sim(find_device("V100"));
-  GpuSzDevice device(sim);
-  const std::vector<float> data(64, 1.0f);
-  EXPECT_THROW(device.compress_abs(data, Dims::d1(64), 0.1), InvalidArgument);
+  const auto gpu_sz = foresight::make_compressor("gpu-sz", &sim);
+  const Field field = random_field(Dims::d2(8, 8), 154, 0.0, 1.0);
+  EXPECT_THROW((void)gpu_sz->open_session()->compress(field, {"abs", 0.1}), InvalidArgument);
 }
 
 }  // namespace

@@ -104,6 +104,18 @@ TEST(PwRel, InvalidBoundsRejected) {
   EXPECT_THROW(compress_pwrel(data, Dims::d3(4, 4, 4), params), InvalidArgument);
   params.pw_rel_bound = 1.5;
   EXPECT_THROW(compress_pwrel(data, Dims::d3(4, 4, 4), params), InvalidArgument);
+  // 1e-30 lies in (0, 1) but ln(1 + 1e-30) rounds to 0: the error must name
+  // pw_rel, not the inner quantizer.
+  for (const double bound : {1e-30, -1.0, std::nan("")}) {
+    params.pw_rel_bound = bound;
+    try {
+      (void)compress_pwrel(data, Dims::d3(4, 4, 4), params);
+      ADD_FAILURE() << "pw_rel bound " << bound << " accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("compress_pwrel: pw_rel bound"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(PwRel, CorruptStreamThrows) {

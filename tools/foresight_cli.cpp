@@ -19,6 +19,9 @@
 ///   daemon <ping|hello|metrics|shutdown|submit> --socket ENDPOINT
 ///                                   talk to a running foresightd over
 ///                                   AF_UNIX (a path) or tcp:HOST:PORT
+///
+/// Each subcommand accepts only its own flags: an undeclared flag exits 2
+/// with an error naming it, and --help prints the usage.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -46,29 +49,31 @@ using namespace cosmo;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: foresight_cli <command> [options]\n"
+    "  devices\n"
+    "  codecs\n"
+    "  generate --type nyx|hacc --out FILE [--dim N] [--particles N] [--seed S]\n"
+    "  info FILE\n"
+    "  compress --codec NAME --mode MODE --value V --input FILE [--field NAME] [--gpu NAME] [--threads N]\n"
+    "  estimate --input FILE --field NAME --bound B [--stride N]\n"
+    "  optimize --codec NAME [--input FILE | --type nyx|hacc [--dim N] "
+    "[--particles N] [--seed S]]\n"
+    "           [--gpu NAME] [--search exhaustive|guided] [--probes K] "
+    "[--threads N]\n"
+    "           [--tolerance T] [--k-fraction F] [--halo-tolerance T] "
+    "[--velocity-tolerance T]\n"
+    "           [--linking-length L] [--min-members N]\n"
+    "  run CONFIG.json [--fail-fast] [--trace-out FILE] [--metrics-out FILE]\n"
+    "  trace-check TRACE.json\n"
+    "  daemon ping|hello|metrics|shutdown --socket ENDPOINT\n"
+    "  daemon submit --socket ENDPOINT --codec NAME [--job roundtrip|compress]\n"
+    "      (ENDPOINT: a unix socket path or tcp:HOST:PORT)\n"
+    "         [--mode M --value V] [--type nyx|hacc] [--dim N] [--particles N]\n"
+    "         [--seed S] [--field NAME] [--deadline SECONDS] [--priority P]\n";
+
 int usage() {
-  std::fprintf(stderr,
-               "usage: foresight_cli <command> [options]\n"
-               "  devices\n"
-               "  codecs\n"
-               "  generate --type nyx|hacc --out FILE [--dim N] [--particles N] [--seed S]\n"
-               "  info FILE\n"
-               "  compress --codec NAME --mode MODE --value V --input FILE [--field NAME] [--gpu NAME] [--threads N]\n"
-               "  estimate --input FILE --field NAME --bound B [--stride N]\n"
-               "  optimize --codec NAME [--input FILE | --type nyx|hacc [--dim N] "
-               "[--particles N] [--seed S]]\n"
-               "           [--gpu NAME] [--search exhaustive|guided] [--probes K] "
-               "[--threads N]\n"
-               "           [--tolerance T] [--k-fraction F] [--halo-tolerance T] "
-               "[--velocity-tolerance T]\n"
-               "           [--linking-length L] [--min-members N]\n"
-               "  run CONFIG.json [--fail-fast] [--trace-out FILE] [--metrics-out FILE]\n"
-               "  trace-check TRACE.json\n"
-               "  daemon ping|hello|metrics|shutdown --socket ENDPOINT\n"
-               "  daemon submit --socket ENDPOINT --codec NAME [--job roundtrip|compress]\n"
-               "      (ENDPOINT: a unix socket path or tcp:HOST:PORT)\n"
-               "         [--mode M --value V] [--type nyx|hacc] [--dim N] [--particles N]\n"
-               "         [--seed S] [--field NAME] [--deadline SECONDS] [--priority P]\n");
+  std::fputs(kUsage, stderr);
   return 2;
 }
 
@@ -474,18 +479,41 @@ int cmd_daemon(const CliArgs& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const CliArgs args(argc, argv);
+  // Each subcommand declares its flags: an undeclared one prints the error
+  // and the usage and exits 2; --help prints the usage and exits 0.
+  const auto args = [&](std::initializer_list<std::string_view> declared) {
+    return parse_tool_args(argc, argv, declared, kUsage);
+  };
   try {
-    if (command == "devices") return cmd_devices();
-    if (command == "codecs") return cmd_codecs();
-    if (command == "generate") return cmd_generate(args);
-    if (command == "info") return cmd_info(args);
-    if (command == "compress") return cmd_compress(args);
-    if (command == "estimate") return cmd_estimate(args);
-    if (command == "optimize") return cmd_optimize(args);
-    if (command == "run") return cmd_run(args);
-    if (command == "trace-check") return cmd_trace_check(args);
-    if (command == "daemon") return cmd_daemon(args);
+    if (command == "devices") {
+      (void)args({});
+      return cmd_devices();
+    }
+    if (command == "codecs") {
+      (void)args({});
+      return cmd_codecs();
+    }
+    if (command == "generate") {
+      return cmd_generate(args({"type", "out", "dim", "particles", "seed"}));
+    }
+    if (command == "info") return cmd_info(args({}));
+    if (command == "compress") {
+      return cmd_compress(
+          args({"codec", "mode", "value", "input", "field", "gpu", "threads"}));
+    }
+    if (command == "estimate") return cmd_estimate(args({"input", "field", "bound", "stride"}));
+    if (command == "optimize") {
+      return cmd_optimize(args({"codec", "input", "type", "dim", "particles", "seed", "gpu",
+                                "search", "probes", "threads", "tolerance", "k-fraction",
+                                "halo-tolerance", "velocity-tolerance", "linking-length",
+                                "min-members"}));
+    }
+    if (command == "run") return cmd_run(args({"fail-fast", "trace-out", "metrics-out"}));
+    if (command == "trace-check") return cmd_trace_check(args({}));
+    if (command == "daemon") {
+      return cmd_daemon(args({"socket", "job", "codec", "mode", "value", "type", "dim",
+                              "particles", "seed", "field", "deadline", "priority"}));
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "foresight_cli %s: %s\n", command.c_str(), e.what());
     return 1;
