@@ -3,9 +3,9 @@
 #include "common/telemetry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/error.hpp"
 
@@ -100,6 +100,55 @@ struct CellGrid {
   [[nodiscard]] std::span<const std::uint32_t> cell(std::size_t idx) const {
     return {particles.data() + cell_start[idx], cell_start[idx + 1] - cell_start[idx]};
   }
+
+  [[nodiscard]] std::size_t cell_count() const { return cell_start.size() - 1; }
+
+  /// Calls fn(a, b) once for every unordered pair of neighboring non-empty
+  /// cells, and fn(c, c) once for every non-empty cell. Periodic grids wrap;
+  /// open grids drop neighbors past the edge. Only neighbors with a higher
+  /// index than the cell are visited, after dropping duplicates, so each
+  /// pair comes up exactly once, also on grids of edge 1 or 2 where several
+  /// offsets wrap onto the same cell.
+  template <typename Fn>
+  void for_each_cell_pair(Fn&& fn) const {
+    const long ec = static_cast<long>(edge_cells);
+    auto shifted = [&](std::size_t c, int d, std::size_t& to) {
+      const long v = static_cast<long>(c) + d;
+      if (periodic) {
+        to = static_cast<std::size_t>((v + ec) % ec);
+        return true;
+      }
+      to = static_cast<std::size_t>(v);
+      return v >= 0 && v < ec;
+    };
+    std::array<std::size_t, 26> upper{};
+    for (std::size_t cz = 0; cz < edge_cells; ++cz) {
+      for (std::size_t cy = 0; cy < edge_cells; ++cy) {
+        for (std::size_t cx = 0; cx < edge_cells; ++cx) {
+          const std::size_t c = index(cx, cy, cz);
+          if (cell_start[c] == cell_start[c + 1]) continue;
+          std::size_t count = 0;
+          for (int dz = -1; dz <= 1; ++dz) {
+            for (int dy = -1; dy <= 1; ++dy) {
+              for (int dx = -1; dx <= 1; ++dx) {
+                std::size_t ox = 0, oy = 0, oz = 0;
+                if (!shifted(cx, dx, ox) || !shifted(cy, dy, oy) || !shifted(cz, dz, oz)) {
+                  continue;
+                }
+                const std::size_t o = index(ox, oy, oz);
+                if (o > c && cell_start[o] != cell_start[o + 1]) upper[count++] = o;
+              }
+            }
+          }
+          const auto end = upper.begin() + static_cast<std::ptrdiff_t>(count);
+          std::sort(upper.begin(), end);
+          fn(c, c);
+          std::for_each(upper.begin(), std::unique(upper.begin(), end),
+                        [&](std::size_t o) { fn(c, o); });
+        }
+      }
+    }
+  }
 };
 
 double sq(double v) { return v * v; }
@@ -133,108 +182,114 @@ FofResult fof(std::span<const float> x, std::span<const float> y,
     return dx * dx + dy * dy + dz * dz;
   };
 
-  const long ec = static_cast<long>(grid.edge_cells);
-  auto wrap_cell = [&](long c) {
-    if (params.periodic) {
-      c %= ec;
-      return static_cast<std::size_t>(c < 0 ? c + ec : c);
-    }
-    return static_cast<std::size_t>(std::clamp(c, 0l, ec - 1));
-  };
-
-  // Friend-pair pass: each z-slab of cells collects its candidate pairs
-  // independently (the slab geometry is one cz row of the grid, fixed by
-  // the grid alone), then the pairs feed the union-find serially in slab
-  // order. Every distance test is pure, so the pair lists — and the
-  // resulting components — are identical for any thread count.
-  struct Pair {
-    std::uint32_t a, b;
-  };
-  std::vector<std::vector<Pair>> slab_pairs(grid.edge_cells);
-  parallel_for(pool, grid.edge_cells, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t cz = lo; cz < hi; ++cz) {
-      std::vector<Pair>& pairs = slab_pairs[cz];
-      for (std::size_t cy = 0; cy < grid.edge_cells; ++cy) {
-        for (std::size_t cx = 0; cx < grid.edge_cells; ++cx) {
-          const std::size_t cell_idx = grid.index(cx, cy, cz);
-          const auto cell = grid.cell(cell_idx);
-          if (cell.empty()) continue;
-          // Half-neighborhood enumeration to visit each cell pair once:
-          // self plus 13 of the 26 neighbors.
-          static const int offsets[14][3] = {
-              {0, 0, 0},  {1, 0, 0},  {-1, 1, 0}, {0, 1, 0},  {1, 1, 0},
-              {-1, -1, 1}, {0, -1, 1}, {1, -1, 1}, {-1, 0, 1}, {0, 0, 1},
-              {1, 0, 1},  {-1, 1, 1}, {0, 1, 1},  {1, 1, 1},
-          };
-          for (const auto& off : offsets) {
-            const std::size_t ox = wrap_cell(static_cast<long>(cx) + off[0]);
-            const std::size_t oy = wrap_cell(static_cast<long>(cy) + off[1]);
-            const std::size_t oz = wrap_cell(static_cast<long>(cz) + off[2]);
-            const std::size_t other_idx = grid.index(ox, oy, oz);
-            const bool self = other_idx == cell_idx;
-            if (!self && !params.periodic &&
-                (off[0] != 0 || off[1] != 0 || off[2] != 0) && other_idx == cell_idx) {
-              continue;  // clamped onto self at the non-periodic boundary
-            }
-            const auto other = grid.cell(other_idx);
-            for (std::size_t ai = 0; ai < cell.size(); ++ai) {
-              const std::size_t a = cell[ai];
-              const std::size_t start = self ? ai + 1 : 0;
-              for (std::size_t bi = start; bi < other.size(); ++bi) {
-                const std::size_t p = other[bi];
-                if (dist2(a, p) <= b2) {
-                  pairs.push_back({static_cast<std::uint32_t>(a),
-                                   static_cast<std::uint32_t>(p)});
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }, /*min_grain=*/1);
-
+  // Link pass: visit every pair of neighboring cells once and link as we
+  // go, so no friend pair is ever stored. A pair whose ends already share a
+  // set cannot change the partition, so it skips the distance test; a cell
+  // whose particles all share one set ("linked") skips whole rows. Sets
+  // only merge, so a linked cell stays linked and the flag is cached. The
+  // connected components do not depend on the visit order, so the
+  // partition is a function of the input alone.
   DisjointSet ds(n);
-  std::vector<std::uint32_t> degree;
-  if (params.most_connected) degree.assign(n, 0);
-  for (const auto& pairs : slab_pairs) {
-    for (const auto& pr : pairs) {
-      ds.unite(pr.a, pr.b);
-      if (params.most_connected) {
-        ++degree[pr.a];
-        ++degree[pr.b];
+  std::vector<std::uint8_t> linked(grid.cell_count(), 0);
+  auto is_linked = [&](std::size_t c) {
+    if (linked[c]) return true;
+    const auto cell = grid.cell(c);
+    const std::size_t root = ds.find(cell[0]);
+    for (const std::uint32_t p : cell.subspan(1)) {
+      if (ds.find(p) != root) return false;
+    }
+    linked[c] = 1;
+    return true;
+  };
+  grid.for_each_cell_pair([&](std::size_t a, std::size_t b) {
+    const bool self = a == b;
+    const auto cell = grid.cell(a);
+    const auto other = grid.cell(b);
+    bool other_linked = is_linked(b);
+    if (other_linked && (self || (is_linked(a) && ds.find(cell[0]) == ds.find(other[0])))) {
+      return;
+    }
+    for (std::size_t ai = 0; ai < cell.size(); ++ai) {
+      std::size_t root_a = ds.find(cell[ai]);
+      if (other_linked && root_a == ds.find(other[0])) continue;
+      bool merged = false;
+      for (std::size_t bi = self ? ai + 1 : 0; bi < other.size(); ++bi) {
+        const std::size_t root_b = ds.find(other[bi]);
+        // Written as !(<=) so a NaN distance is never a friend.
+        if (root_b == root_a || !(dist2(cell[ai], other[bi]) <= b2)) continue;
+        ds.unite(root_a, root_b);
+        merged = true;
+        if (other_linked) break;  // cell[ai] now shares the set of all of other
+        root_a = ds.find(root_a);
+      }
+      // Only a merge can link the other cell, so it is rechecked only then.
+      if (merged && !other_linked && is_linked(b)) {
+        if (self) return;
+        other_linked = true;
       }
     }
+  });
+
+  // Degree pass (Most Connected Particle only): every candidate pair is
+  // tested and counted in place, again without storing it.
+  std::vector<std::uint32_t> degree;
+  if (params.most_connected) {
+    degree.assign(n, 0);
+    grid.for_each_cell_pair([&](std::size_t a, std::size_t b) {
+      const auto cell = grid.cell(a);
+      const auto other = grid.cell(b);
+      for (std::size_t ai = 0; ai < cell.size(); ++ai) {
+        std::uint32_t friends = 0;
+        for (std::size_t bi = a == b ? ai + 1 : 0; bi < other.size(); ++bi) {
+          const std::uint32_t f = dist2(cell[ai], other[bi]) <= b2 ? 1 : 0;
+          friends += f;
+          degree[other[bi]] += f;
+        }
+        degree[cell[ai]] += friends;
+      }
+    });
   }
 
-  // Collect groups in canonical order: a group's id is the rank of its
+  // Collect halos in canonical order: a halo's id is the rank of its
   // smallest member index, so halo numbering never depends on union-find
-  // internals (root choice) or the schedule.
-  std::unordered_map<std::size_t, std::size_t> group_of_root;
-  std::vector<std::vector<std::uint32_t>> groups;
+  // internals (root choice). Members are listed in ascending particle order
+  // (CSR, one slice per halo).
+  std::vector<std::uint32_t> root_of(n);
+  std::vector<std::uint32_t> group_size(n, 0);
   for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t root = ds.find(p);
-    auto [it, inserted] = group_of_root.try_emplace(root, groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(static_cast<std::uint32_t>(p));
+    root_of[p] = static_cast<std::uint32_t>(ds.find(p));
+    ++group_size[root_of[p]];
   }
-
-  std::vector<std::size_t> halo_groups;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (groups[g].size() >= params.min_members) halo_groups.push_back(g);
+  std::vector<std::int32_t> halo_of_root(n, -1);
+  std::vector<std::uint32_t> member_start{0};
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::uint32_t root = root_of[p];
+    if (group_size[root] >= params.min_members && halo_of_root[root] < 0) {
+      halo_of_root[root] = static_cast<std::int32_t>(member_start.size() - 1);
+      member_start.push_back(member_start.back() + group_size[root]);
+    }
   }
+  const std::size_t halo_count = member_start.size() - 1;
 
   FofResult result;
   result.grid_edge_cells = grid.edge_cells;
   result.halo_of_particle.assign(n, -1);
-  result.halos.resize(halo_groups.size());
+  result.halos.resize(halo_count);
+  std::vector<std::uint32_t> members_flat(member_start.back());
+  std::vector<std::uint32_t> cursor(member_start.begin(), member_start.end() - 1);
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::int32_t h = halo_of_root[root_of[p]];
+    result.halo_of_particle[p] = h;
+    if (h >= 0) members_flat[cursor[h]++] = static_cast<std::uint32_t>(p);
+  }
 
   // Per-halo reductions are independent and slot-indexed, so they fan out
   // across the pool; each halo's member traversal order is the CSR
   // (ascending particle) order regardless of threads.
-  parallel_for(pool, halo_groups.size(), [&](std::size_t lo, std::size_t hi) {
+  parallel_for(pool, halo_count, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t h = lo; h < hi; ++h) {
-      const std::vector<std::uint32_t>& members = groups[halo_groups[h]];
+      const std::span<const std::uint32_t> members(members_flat.data() + member_start[h],
+                                                   member_start[h + 1] - member_start[h]);
       Halo& halo = result.halos[h];
       halo.members = members.size();
       // Center of mass relative to the first member (handles box wrapping).
@@ -264,7 +319,7 @@ FofResult fof(std::span<const float> x, std::span<const float> y,
       halo.cy = wrap_pos(ry + sy * inv);
       halo.cz = wrap_pos(rz + sz * inv);
 
-      if (params.most_connected && !degree.empty()) {
+      if (params.most_connected) {
         std::size_t best = members[0];
         for (const auto p : members) {
           if (degree[p] > degree[best]) best = p;
@@ -273,7 +328,7 @@ FofResult fof(std::span<const float> x, std::span<const float> y,
       }
       if (params.most_bound) {
         // Potential of particle i ~ -sum_j 1/r_ij over (a sample of) members.
-        std::vector<std::uint32_t> sample(members);
+        std::vector<std::uint32_t> sample(members.begin(), members.end());
         if (sample.size() > params.potential_sample_cap) {
           const std::size_t stride = sample.size() / params.potential_sample_cap;
           std::vector<std::uint32_t> reduced;
@@ -298,12 +353,6 @@ FofResult fof(std::span<const float> x, std::span<const float> y,
       }
     }
   }, /*min_grain=*/1);
-
-  for (std::size_t h = 0; h < halo_groups.size(); ++h) {
-    for (const auto p : groups[halo_groups[h]]) {
-      result.halo_of_particle[p] = static_cast<std::int32_t>(h);
-    }
-  }
   return result;
 }
 

@@ -17,7 +17,7 @@
 
 namespace cosmo::analysis {
 
-/// Union-find with path compression + union by size.
+/// Union-find with path halving + union by rank.
 class DisjointSet {
  public:
   explicit DisjointSet(std::size_t n);
@@ -37,7 +37,9 @@ struct FofParams {
   std::size_t min_members = 10;  ///< groups below this are not halos
   double box = 256.0;            ///< periodic box edge
   bool periodic = true;
-  /// Compute Most Connected Particle (costs a full pair enumeration).
+  /// Compute Most Connected Particle. Adds a degree pass that tests every
+  /// candidate pair in the 27-cell neighborhoods (counted in place, never
+  /// stored), so it costs far more than the partition alone.
   bool most_connected = false;
   /// Compute Most Bound Particle (pairwise potential, sampled above
   /// potential_sample_cap members).
@@ -66,11 +68,13 @@ struct FofResult {
   std::size_t grid_edge_cells = 0;
 };
 
-/// Runs FoF over particle coordinates (equal lengths). Threads on \p pool:
-/// candidate friend pairs are collected per z-slab of the cell grid (fixed
-/// slab geometry), then fed to the union-find serially in slab order, so
-/// the partition — and every downstream reduction — is identical for any
-/// thread count.
+/// Runs FoF over particle coordinates (equal lengths). The link pass walks
+/// each unordered pair of neighboring cells once and unites friends as it
+/// goes, skipping pairs whose ends already share a set; no friend pair is
+/// stored. It runs serially; \p pool threads the cell binning and the
+/// per-halo reductions. Connected components do not depend on the visit
+/// order and halos are numbered by their smallest member, so the result is
+/// identical for any thread count.
 FofResult fof(std::span<const float> x, std::span<const float> y,
               std::span<const float> z, const FofParams& params,
               ThreadPool* pool = nullptr);

@@ -131,6 +131,62 @@ TEST(Cli, ToolArgsHelpExitsZeroAndUnknownFlagExitsNonZero) {
   EXPECT_EQ(parse_tool_args(3, unknown, {"jobs"}, "").get_int("jobs", 0), 3);
 }
 
+TEST(Cli, BooleanFlagsNeverTakeTheNextArgument) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* argv[] = {"prog", "run", "--fail-fast", "config.json", "--trace-out", "t.json"};
+  const CliArgs args(6, argv, {"trace-out"}, {"fail-fast"});
+  EXPECT_TRUE(args.has("fail-fast"));
+  ASSERT_EQ(args.positional().size(), 2u);
+  EXPECT_EQ(args.positional()[1], "config.json");
+  EXPECT_EQ(args.get("trace-out", ""), "t.json");
+  // --help is always boolean.
+  const char* help[] = {"prog", "--help", "config.json"};
+  EXPECT_EQ(CliArgs(3, help).positional().size(), 1u);
+
+  const char* valued[] = {"prog", "--fail-fast=yes"};
+  try {
+    (void)CliArgs(2, valued, {}, {"fail-fast"});
+    FAIL() << "value given to a boolean flag accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--fail-fast"), std::string::npos) << e.what();
+  }
+  EXPECT_EXIT((void)parse_tool_args(2, valued, {}, "usage: tool [--fail-fast]\n", {"fail-fast"}),
+              ::testing::ExitedWithCode(2), "--fail-fast takes no value");
+}
+
+TEST(Cli, NumbersMustParseInFull) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"8x", "abc", ""}) {
+    const char* argv[] = {"prog", "--dim", bad};
+    const CliArgs args(3, argv, {"dim"});
+    const std::string quoted = "'" + std::string(bad) + "'";
+    try {
+      (void)args.get_int("dim", 0);
+      FAIL() << "get_int accepted " << quoted;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--dim"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(quoted), std::string::npos) << e.what();
+    }
+    try {
+      (void)args.get_double("dim", 0.0);
+      FAIL() << "get_double accepted " << quoted;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--dim"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(quoted), std::string::npos) << e.what();
+    }
+  }
+  const char* good[] = {"prog", "--dim", "-3", "--tol=2.5e1"};
+  const CliArgs args(4, good, {"dim", "tol"});
+  EXPECT_EQ(args.get_int("dim", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("tol", 0.0), 25.0);
+  EXPECT_EQ(args.get_int("absent", 9), 9);
+
+  const char* trailing[] = {"tool", "--dim", "8x"};
+  EXPECT_EXIT((void)parse_tool_args(3, trailing, {"dim"}, "usage: tool [--dim N]\n")
+                  .get_int("dim", 0),
+              ::testing::ExitedWithCode(2), "invalid integer '8x' for --dim");
+}
+
 TEST(Env, FallbackBehaviour) {
   EXPECT_EQ(env_size("COSMO_TEST_UNSET_VAR", 17u), 17u);
   ::setenv("COSMO_TEST_SET_VAR", "64", 1);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "common/error.hpp"
 #include "analysis/fof.hpp"
@@ -30,6 +32,76 @@ struct Cloud {
     }
   }
 };
+
+/// O(n^2) FoF: the same distance predicate (coordinate differences taken in
+/// float, wrapped once across a periodic box), a union over every friend
+/// pair, halos numbered by smallest member, centres summed in ascending
+/// member order, and the Most Connected Particle as the first member of
+/// maximum degree.
+FofResult reference_fof(const Cloud& c, const FofParams& params) {
+  const std::size_t n = c.x.size();
+  auto wrap_delta = [&](double d) {
+    if (params.periodic) {
+      if (d > params.box / 2.0) d -= params.box;
+      if (d < -params.box / 2.0) d += params.box;
+    }
+    return d;
+  };
+  DisjointSet ds(n);
+  std::vector<std::size_t> degree(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double dx = wrap_delta(c.x[i] - c.x[j]);
+      const double dy = wrap_delta(c.y[i] - c.y[j]);
+      const double dz = wrap_delta(c.z[i] - c.z[j]);
+      if (dx * dx + dy * dy + dz * dz <= params.linking_length * params.linking_length) {
+        ds.unite(i, j);
+        ++degree[i];
+        ++degree[j];
+      }
+    }
+  }
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::size_t> group_of_root(n, n);
+  for (std::size_t p = 0; p < n; ++p) {
+    std::size_t& g = group_of_root[ds.find(p)];
+    if (g == n) {
+      g = groups.size();
+      groups.emplace_back();
+    }
+    groups[g].push_back(p);
+  }
+  FofResult result;
+  result.halo_of_particle.assign(n, -1);
+  for (const auto& members : groups) {
+    if (members.size() < params.min_members) continue;
+    Halo halo;
+    halo.members = members.size();
+    const double rx = c.x[members[0]], ry = c.y[members[0]], rz = c.z[members[0]];
+    double sx = 0.0, sy = 0.0, sz = 0.0;
+    halo.most_connected_particle = members[0];
+    for (const std::size_t p : members) {
+      sx += wrap_delta(c.x[p] - rx);
+      sy += wrap_delta(c.y[p] - ry);
+      sz += wrap_delta(c.z[p] - rz);
+      if (degree[p] > degree[halo.most_connected_particle]) halo.most_connected_particle = p;
+    }
+    const double inv = 1.0 / static_cast<double>(members.size());
+    auto wrap_pos = [&](double v) {
+      if (!params.periodic) return v;
+      v = std::fmod(v, params.box);
+      return v < 0.0 ? v + params.box : v;
+    };
+    halo.cx = wrap_pos(rx + sx * inv);
+    halo.cy = wrap_pos(ry + sy * inv);
+    halo.cz = wrap_pos(rz + sz * inv);
+    for (const std::size_t p : members) {
+      result.halo_of_particle[p] = static_cast<std::int32_t>(result.halos.size());
+    }
+    result.halos.push_back(halo);
+  }
+  return result;
+}
 
 TEST(DisjointSetTest, BasicUnionFind) {
   DisjointSet ds(10);
@@ -223,6 +295,90 @@ TEST(Fof, RecoversGeneratorTruthApproximately) {
     }
   }
   EXPECT_GE(matched * 10, truth.size() * 7);  // >= 70% recovered
+}
+
+TEST(Fof, MatchesBruteForceReferenceOnEveryGridShape) {
+  struct Case {
+    double box, linking_length;
+    std::size_t particles, expected_edge;
+  };
+  // Grid edges 1, 2 and 3 (every offset wraps onto a few cells), one with
+  // cells exactly one linking length wide, and one capped at cbrt(4n).
+  const Case cases[] = {
+      {8.0, 5.0, 40, 1}, {8.0, 3.0, 40, 2}, {9.0, 3.0, 60, 3}, {16.0, 2.0, 150, 8},
+      {64.0, 1.0, 400, 11},
+  };
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);  // threads == 1
+  pools.push_back(std::make_unique<ThreadPool>(2));
+  pools.push_back(std::make_unique<ThreadPool>(7));
+  for (const Case& k : cases) {
+    for (const bool periodic : {true, false}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "box " << k.box << " b " << k.linking_length
+                                          << " periodic " << periodic << " seed " << seed);
+        Rng rng(seed * 977 + static_cast<std::uint64_t>(k.box));
+        const double b = k.linking_length;
+        Cloud cloud;
+        // Clusters, one of them straddling the x = 0 face (wrapped into the
+        // box), over a uniform background.
+        cloud.add_blob(rng, 0.3 * k.box, 0.6 * k.box, 0.4 * k.box, k.particles / 4, 0.6 * b);
+        cloud.add_blob(rng, 0.1 * b, 0.2 * k.box, 0.7 * k.box, k.particles / 4, 0.6 * b);
+        cloud.add_uniform(rng, k.particles / 2, k.box);
+        for (std::vector<float>* axis : {&cloud.x, &cloud.y, &cloud.z}) {
+          for (float& v : *axis) {
+            const double w = std::fmod(static_cast<double>(v), k.box);
+            v = static_cast<float>(w < 0.0 ? w + k.box : w);
+          }
+        }
+        // Particles exactly on the faces and slightly outside them, as a
+        // lossy reconstruction of in-box positions produces.
+        for (int i = 0; i < 12; ++i) {
+          cloud.add_uniform(rng, 1, k.box);
+          const double out = rng.uniform(0.0, 1e-3 * b);
+          const double face = i % 4 == 0   ? 0.0
+                              : i % 4 == 1 ? k.box
+                              : i % 4 == 2 ? -out
+                                           : k.box + out;
+          std::vector<float>& axis = i % 3 == 0 ? cloud.x : i % 3 == 1 ? cloud.y : cloud.z;
+          axis.back() = static_cast<float>(face);
+        }
+        // A pair exactly one linking length apart.
+        cloud.x.push_back(1.0f);
+        cloud.y.push_back(0.5f);
+        cloud.z.push_back(0.5f);
+        cloud.x.push_back(static_cast<float>(1.0 + b));
+        cloud.y.push_back(0.5f);
+        cloud.z.push_back(0.5f);
+
+        FofParams params;
+        params.linking_length = b;
+        params.box = k.box;
+        params.periodic = periodic;
+        params.min_members = 2;
+        const FofResult expected = reference_fof(cloud, params);
+        for (const bool most_connected : {false, true}) {
+          params.most_connected = most_connected;
+          for (const auto& pool : pools) {
+            const FofResult got = fof(cloud.x, cloud.y, cloud.z, params, pool.get());
+            EXPECT_EQ(got.grid_edge_cells, k.expected_edge);
+            EXPECT_EQ(got.halo_of_particle, expected.halo_of_particle);
+            ASSERT_EQ(got.halos.size(), expected.halos.size());
+            for (std::size_t h = 0; h < got.halos.size(); ++h) {
+              EXPECT_EQ(got.halos[h].members, expected.halos[h].members);
+              EXPECT_EQ(
+                  std::memcmp(&got.halos[h].cx, &expected.halos[h].cx, 3 * sizeof(double)), 0);
+              if (most_connected) {
+                EXPECT_EQ(got.halos[h].most_connected_particle,
+                          expected.halos[h].most_connected_particle)
+                    << "halo " << h;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Fof, InvalidParamsRejected) {

@@ -499,10 +499,11 @@ int main(int argc, char** argv) {
   const CliArgs args = parse_tool_args(
       argc, argv,
       {"jobs", "clients", "window", "dim", "stream-dim", "workers", "queue-capacity", "seed",
-       "no-faults", "socket"},
+       "socket"},
       "usage: daemon_stress [--jobs N] [--clients N] [--window N] [--dim N]\n"
       "                     [--stream-dim N] [--workers N] [--queue-capacity N]\n"
-      "                     [--seed S] [--no-faults] [--socket ENDPOINT]\n");
+      "                     [--seed S] [--no-faults] [--socket ENDPOINT]\n",
+      {"no-faults"});
   try {
     if (args.has("socket")) return run_external(args);
 

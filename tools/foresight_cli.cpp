@@ -481,8 +481,9 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   // Each subcommand declares its flags: an undeclared one prints the error
   // and the usage and exits 2; --help prints the usage and exits 0.
-  const auto args = [&](std::initializer_list<std::string_view> declared) {
-    return parse_tool_args(argc, argv, declared, kUsage);
+  const auto args = [&](std::initializer_list<std::string_view> declared,
+                        std::initializer_list<std::string_view> booleans = {}) {
+    return parse_tool_args(argc, argv, declared, kUsage, booleans);
   };
   try {
     if (command == "devices") {
@@ -508,7 +509,7 @@ int main(int argc, char** argv) {
                                 "halo-tolerance", "velocity-tolerance", "linking-length",
                                 "min-members"}));
     }
-    if (command == "run") return cmd_run(args({"fail-fast", "trace-out", "metrics-out"}));
+    if (command == "run") return cmd_run(args({"trace-out", "metrics-out"}, {"fail-fast"}));
     if (command == "trace-check") return cmd_trace_check(args({}));
     if (command == "daemon") {
       return cmd_daemon(args({"socket", "job", "codec", "mode", "value", "type", "dim",
