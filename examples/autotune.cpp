@@ -15,7 +15,9 @@
 using namespace cosmo;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args = parse_tool_args(
+      argc, argv, {"dim", "compressor", "tolerance"},
+      "usage: autotune [--dim 64] [--compressor gpu-sz|cuzfp] [--tolerance 0.01]\n");
   NyxConfig nyx;
   nyx.dim = static_cast<std::size_t>(args.get_int("dim", 64));
   const std::string codec_name = args.get("compressor", "gpu-sz");

@@ -17,7 +17,10 @@
 using namespace cosmo;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args = parse_tool_args(
+      argc, argv, {"particles", "halos", "bounds"},
+      "usage: hacc_halos [--particles 200000] [--halos 150]\n"
+      "                  [--bounds 0.001,0.005,0.025,0.25]\n");
   HaccConfig config;
   config.particles = static_cast<std::size_t>(args.get_int("particles", 200000));
   config.halo_count = static_cast<std::size_t>(args.get_int("halos", 150));

@@ -25,7 +25,9 @@
 using namespace cosmo;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args = parse_tool_args(
+      argc, argv, {"ranks", "particles", "bound"},
+      "usage: multirank_io [--ranks 8] [--particles 120000] [--bound 0.005]\n");
   const int ranks = static_cast<int>(args.get_int("ranks", 8));
   const std::size_t particles = static_cast<std::size_t>(args.get_int("particles", 120000));
   const double bound = args.get_double("bound", 0.005);

@@ -42,7 +42,9 @@ std::string default_config(const std::string& out_dir, long dim) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args = parse_tool_args(
+      argc, argv, {"config", "out", "dim"},
+      "usage: nyx_pipeline [--config my.json] [--out out/nyx_demo] [--dim 64]\n");
   const std::string out_dir = args.get("out", "out/nyx_demo");
   const long dim = args.get_int("dim", 64);
 

@@ -15,7 +15,9 @@
 using namespace cosmo;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args = parse_tool_args(
+      argc, argv, {"dim", "gpu"},
+      "usage: quickstart [--dim 64] [--gpu \"Tesla V100\"]\n");
   const std::size_t dim = static_cast<std::size_t>(args.get_int("dim", 64));
   const std::string gpu_name = args.get("gpu", "Tesla V100");
 

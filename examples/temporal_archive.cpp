@@ -22,7 +22,9 @@
 using namespace cosmo;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args = parse_tool_args(
+      argc, argv, {"dim", "steps", "bound-frac"},
+      "usage: temporal_archive [--dim 48] [--steps 10] [--bound-frac 1e-3]\n");
   NyxSequenceConfig config;
   config.base.dim = static_cast<std::size_t>(args.get_int("dim", 48));
   config.steps = static_cast<std::size_t>(args.get_int("steps", 10));

@@ -84,11 +84,15 @@ struct CellGrid {
   }
 
   [[nodiscard]] std::size_t cell_index_of(double x, double y, double z) const {
-    auto clampc = [this](double v) {
-      auto c = static_cast<long>(v / cell_size);
-      if (c < 0) c = 0;
-      if (c >= static_cast<long>(edge_cells)) c = static_cast<long>(edge_cells) - 1;
-      return static_cast<std::size_t>(c);
+    // Clamp in double before the cast: NaN, ±Inf and huge finite values
+    // land in an edge cell (NaN in cell 0) instead of overflowing the
+    // conversion. They never link there: a non-finite coordinate gives a
+    // NaN or Inf distance, which !(d2 <= b2) rejects.
+    const double last = static_cast<double>(edge_cells - 1);
+    auto clampc = [this, last](double v) {
+      const double q = v / cell_size;
+      if (!(q >= 0.0)) return std::size_t{0};
+      return q >= last ? edge_cells - 1 : static_cast<std::size_t>(q);
     };
     return index(clampc(x), clampc(y), clampc(z));
   }

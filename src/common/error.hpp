@@ -50,10 +50,31 @@ class OutOfMemoryError : public Error {
   explicit OutOfMemoryError(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with \p msg when \p cond is false.
-void require(bool cond, const std::string& msg);
+namespace detail {
+// Out of line and cold: the exception and its message are built only on the
+// failing branch, so an inlined passing check is one compare and one branch.
+[[noreturn]] void throw_invalid_argument(const char* msg);
+[[noreturn]] void throw_format_error(const char* msg);
+}  // namespace detail
 
-/// Throws FormatError with \p msg when \p cond is false.
-void require_format(bool cond, const std::string& msg);
+/// Throws InvalidArgument with \p msg when \p cond is false. A literal
+/// message binds to the const char* overload and costs nothing when the
+/// check passes; a composed std::string is built by the caller before the
+/// call, so keep composed messages off per-element paths.
+inline void require(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] detail::throw_invalid_argument(msg);
+}
+inline void require(bool cond, const std::string& msg) {
+  if (!cond) [[unlikely]] detail::throw_invalid_argument(msg.c_str());
+}
+
+/// Throws FormatError with \p msg when \p cond is false (same overloads
+/// and cost as require()).
+inline void require_format(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] detail::throw_format_error(msg);
+}
+inline void require_format(bool cond, const std::string& msg) {
+  if (!cond) [[unlikely]] detail::throw_format_error(msg.c_str());
+}
 
 }  // namespace cosmo

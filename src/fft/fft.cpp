@@ -53,9 +53,13 @@ std::size_t& fft_twiddle_cache_entries() {
 
 bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
-void fft_1d(std::span<cplx> data, bool inverse) {
+namespace {
+
+/// fft_1d's butterflies over \p tw, the twiddle table for data.size()
+/// (twiddles_for). fft_3d takes each axis's table once per transform and
+/// calls this per pencil, so the pencil loops never touch the cache lock.
+void fft_1d_with(std::span<cplx> data, const std::vector<cplx>& tw, bool inverse) {
   const std::size_t n = data.size();
-  require(is_pow2(n), "fft_1d: size must be a power of two");
   if (n == 1) return;
 
   // Bit-reversal permutation.
@@ -69,7 +73,6 @@ void fft_1d(std::span<cplx> data, bool inverse) {
   // Butterflies with cached per-size twiddle tables (exact trig per entry
   // instead of the w *= wlen recurrence, which drifts by ~len ulps across a
   // stage).
-  const std::vector<cplx>& tw = twiddles_for(n);
   for (std::size_t half = 1; half < n; half <<= 1) {
     const cplx* stage = tw.data() + (half - 1);
     const std::size_t len = half * 2;
@@ -89,16 +92,24 @@ void fft_1d(std::span<cplx> data, bool inverse) {
   }
 }
 
+}  // namespace
+
+void fft_1d(std::span<cplx> data, bool inverse) {
+  require(is_pow2(data.size()), "fft_1d: size must be a power of two");
+  if (data.size() == 1) return;
+  fft_1d_with(data, twiddles_for(data.size()), inverse);
+}
+
 void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool* pool) {
   TRACE_SPAN("fft.3d");
   require(data.size() == dims.count(), "fft_3d: size mismatch");
   require(is_pow2(dims.nx) && is_pow2(dims.ny) && is_pow2(dims.nz),
           "fft_3d: extents must be powers of two");
   const std::size_t nx = dims.nx, ny = dims.ny, nz = dims.nz;
-  // Warm the caches serially so threads only ever read the tables.
-  twiddles_for(nx);
-  if (ny > 1) twiddles_for(ny);
-  if (nz > 1) twiddles_for(nz);
+  // One table lookup per axis per transform; the pencil loops only read them.
+  const std::vector<cplx>& tw_x = twiddles_for(nx);
+  const std::vector<cplx>& tw_y = twiddles_for(ny);
+  const std::vector<cplx>& tw_z = twiddles_for(nz);
 
   // Pencils along one axis are independent, and each writes only its own
   // elements, so every pass parallelizes over pencil groups with output
@@ -109,7 +120,7 @@ void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool*
     for (std::size_t r = lo; r < hi; ++r) {
       const std::size_t y = r % ny;
       const std::size_t z = r / ny;
-      fft_1d(std::span(data.data() + dims.index(0, y, z), nx), inverse);
+      fft_1d_with(std::span(data.data() + dims.index(0, y, z), nx), tw_x, inverse);
     }
   }, /*min_grain=*/4);
 
@@ -127,7 +138,7 @@ void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool*
             for (std::size_t dx = 0; dx < tx; ++dx) tile[dx * ny + y] = row[dx];
           }
           for (std::size_t dx = 0; dx < tx; ++dx) {
-            fft_1d(std::span(tile.data() + dx * ny, ny), inverse);
+            fft_1d_with(std::span(tile.data() + dx * ny, ny), tw_y, inverse);
           }
           for (std::size_t y = 0; y < ny; ++y) {
             cplx* row = data.data() + dims.index(x0, y, z);
@@ -150,7 +161,7 @@ void fft_3d(std::vector<cplx>& data, const Dims& dims, bool inverse, ThreadPool*
             for (std::size_t dx = 0; dx < tx; ++dx) tile[dx * nz + z] = row[dx];
           }
           for (std::size_t dx = 0; dx < tx; ++dx) {
-            fft_1d(std::span(tile.data() + dx * nz, nz), inverse);
+            fft_1d_with(std::span(tile.data() + dx * nz, nz), tw_z, inverse);
           }
           for (std::size_t z = 0; z < nz; ++z) {
             cplx* row = data.data() + dims.index(x0, y, z);

@@ -31,6 +31,11 @@ int parse_proto_int(const std::string& text) {
   return value;
 }
 
+[[noreturn]] void throw_bad_length(std::uint32_t len) {
+  throw FormatError("protocol: frame length " + std::to_string(len) + " outside [1, " +
+                    std::to_string(kMaxFrameBytes) + "]");
+}
+
 }  // namespace
 
 std::pair<int, int> parse_proto(const std::string& text) {
@@ -72,9 +77,7 @@ void FrameParser::feed(const std::uint8_t* data, std::size_t n) {
   if (buffer_.size() - consumed_ >= 4) {
     std::uint32_t len = 0;
     std::memcpy(&len, buffer_.data() + consumed_, 4);  // little-endian hosts only
-    require_format(len >= 1 && len <= kMaxFrameBytes,
-                   "protocol: frame length " + std::to_string(len) +
-                       " outside [1, " + std::to_string(kMaxFrameBytes) + "]");
+    if (len < 1 || len > kMaxFrameBytes) throw_bad_length(len);
   }
 }
 
@@ -82,9 +85,7 @@ std::optional<json::Value> FrameParser::next() {
   if (buffer_.size() - consumed_ < 4) return std::nullopt;
   std::uint32_t len = 0;
   std::memcpy(&len, buffer_.data() + consumed_, 4);
-  require_format(len >= 1 && len <= kMaxFrameBytes,
-                 "protocol: frame length " + std::to_string(len) + " outside [1, " +
-                     std::to_string(kMaxFrameBytes) + "]");
+  if (len < 1 || len > kMaxFrameBytes) throw_bad_length(len);
   if (buffer_.size() - consumed_ < 4 + static_cast<std::size_t>(len)) {
     return std::nullopt;
   }

@@ -50,7 +50,7 @@ Object& Value::as_object() {
 const Value& Value::at(const std::string& key) const {
   const auto& obj = as_object();
   const auto it = obj.find(key);
-  require_format(it != obj.end(), "json: missing key '" + key + "'");
+  if (it == obj.end()) throw FormatError("json: missing key '" + key + "'");
   return it->second;
 }
 
@@ -181,13 +181,16 @@ class Parser {
   Value parse_document() {
     Value v = parse_value();
     skip_ws();
-    require_format(pos_ == s_.size(), err("trailing characters after JSON value"));
+    if (pos_ != s_.size()) fail("trailing characters after JSON value");
     return v;
   }
 
  private:
-  [[nodiscard]] std::string err(const std::string& msg) const {
-    return strprintf("json parse error at offset %zu: %s", pos_, msg.c_str());
+  /// Throws the parse error for \p msg at the current offset. Called only
+  /// on a failing branch: the checks run once per character parsed, so the
+  /// message must not be formatted before the check.
+  [[noreturn]] void fail(const std::string& msg) const {
+    throw FormatError(strprintf("json parse error at offset %zu: %s", pos_, msg.c_str()));
   }
 
   void skip_ws() {
@@ -195,7 +198,7 @@ class Parser {
   }
 
   char peek() {
-    require_format(pos_ < s_.size(), err("unexpected end of input"));
+    if (pos_ >= s_.size()) fail("unexpected end of input");
     return s_[pos_];
   }
 
@@ -206,7 +209,8 @@ class Parser {
   }
 
   void expect(char c) {
-    require_format(next() == c, err(std::string("expected '") + c + "'"));
+    if (peek() != c) fail(std::string("expected '") + c + "'");
+    ++pos_;
   }
 
   bool consume_literal(const char* lit) {
@@ -226,13 +230,13 @@ class Parser {
       case '[': return parse_array();
       case '"': return Value(parse_string());
       case 't':
-        require_format(consume_literal("true"), err("bad literal"));
+        if (!consume_literal("true")) fail("bad literal");
         return Value(true);
       case 'f':
-        require_format(consume_literal("false"), err("bad literal"));
+        if (!consume_literal("false")) fail("bad literal");
         return Value(false);
       case 'n':
-        require_format(consume_literal("null"), err("bad literal"));
+        if (!consume_literal("null")) fail("bad literal");
         return Value(nullptr);
       default: return parse_number();
     }
@@ -248,7 +252,7 @@ class Parser {
     }
     for (;;) {
       skip_ws();
-      require_format(peek() == '"', err("expected object key string"));
+      if (peek() != '"') fail("expected object key string");
       std::string key = parse_string();
       skip_ws();
       expect(':');
@@ -256,7 +260,7 @@ class Parser {
       skip_ws();
       const char c = next();
       if (c == '}') return Value(std::move(obj));
-      require_format(c == ',', err("expected ',' or '}' in object"));
+      if (c != ',') fail("expected ',' or '}' in object");
     }
   }
 
@@ -273,7 +277,7 @@ class Parser {
       skip_ws();
       const char c = next();
       if (c == ']') return Value(std::move(arr));
-      require_format(c == ',', err("expected ',' or ']' in array"));
+      if (c != ',') fail("expected ',' or ']' in array");
     }
   }
 
@@ -281,19 +285,19 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      require_format(pos_ < s_.size(), err("unterminated string"));
+      if (pos_ >= s_.size()) fail("unterminated string");
       // Bulk-copy the run up to the next quote or backslash: multi-megabyte
       // payload strings (base64 chunks) would otherwise be appended a byte
       // at a time.
       const std::size_t run_end = s_.find_first_of("\"\\", pos_);
-      require_format(run_end != std::string::npos, err("unterminated string"));
+      if (run_end == std::string::npos) fail("unterminated string");
       if (run_end > pos_) {
         out.append(s_, pos_, run_end - pos_);
         pos_ = run_end;
       }
       const char c = s_[pos_++];
       if (c == '"') return out;
-      require_format(pos_ < s_.size(), err("unterminated escape"));
+      if (pos_ >= s_.size()) fail("unterminated escape");
       const char esc = s_[pos_++];
       switch (esc) {
         case '"': out += '"'; break;
@@ -305,7 +309,7 @@ class Parser {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          require_format(pos_ + 4 <= s_.size(), err("bad \\u escape"));
+          if (pos_ + 4 > s_.size()) fail("bad \\u escape");
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
             const char h = s_[pos_++];
@@ -313,7 +317,7 @@ class Parser {
             if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
             else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
             else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else require_format(false, err("bad hex digit in \\u escape"));
+            else fail("bad hex digit in \\u escape");
           }
           // Encode the code point as UTF-8 (BMP only; surrogate pairs are
           // passed through as two separate 3-byte sequences).
@@ -329,7 +333,7 @@ class Parser {
           }
           break;
         }
-        default: require_format(false, err("bad escape character"));
+        default: fail("bad escape character");
       }
     }
   }
@@ -342,11 +346,11 @@ class Parser {
             s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
       ++pos_;
     }
-    require_format(pos_ > begin, err("expected a value"));
+    if (pos_ == begin) fail("expected a value");
     const std::string tok = s_.substr(begin, pos_ - begin);
     char* end = nullptr;
     const double d = std::strtod(tok.c_str(), &end);
-    require_format(end == tok.c_str() + tok.size(), err("malformed number '" + tok + "'"));
+    if (end != tok.c_str() + tok.size()) fail("malformed number '" + tok + "'");
     return Value(d);
   }
 

@@ -16,6 +16,34 @@ TEST(Error, RequireThrowsInvalidArgument) {
   EXPECT_THROW(require_format(false, "bad"), FormatError);
 }
 
+/// The what() text of the exception \p fn throws as \p E ("" if none).
+template <typename E, typename Fn>
+std::string thrown_text(Fn&& fn) {
+  try {
+    fn();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Literal messages take the const char* overloads, composed ones the
+// std::string overloads; both throw the same type with the exact text.
+TEST(Error, RequireKeepsTypeAndTextForLiteralAndComposedMessages) {
+  const std::string composed = std::string("field '") + "density" + "': size " +
+                               std::to_string(12) + " mismatch";
+  EXPECT_EQ(thrown_text<InvalidArgument>([] { require(false, "BitWriter::put: nbits > 64"); }),
+            "BitWriter::put: nbits > 64");
+  EXPECT_EQ(thrown_text<InvalidArgument>([&] { require(false, composed); }), composed);
+  EXPECT_EQ(thrown_text<FormatError>(
+                [] { require_format(false, "BitReader: read past end of stream"); }),
+            "BitReader: read past end of stream");
+  EXPECT_EQ(thrown_text<FormatError>([&] { require_format(false, composed); }), composed);
+  EXPECT_EQ(thrown_text<Error>([] { require_format(false, "x"); }), "x");
+  EXPECT_NO_THROW(require(true, composed));
+  EXPECT_NO_THROW(require_format(true, composed));
+}
+
 TEST(Error, HierarchyCatchableAsError) {
   try {
     throw IoError("disk on fire");

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -376,6 +378,56 @@ TEST(Fof, MatchesBruteForceReferenceOnEveryGridShape) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// Non-finite and huge coordinates bin into an edge cell without overflowing
+// the cell index, never link (not even to each other), and leave the
+// catalog of the finite particles as it was. Blobs sit at both box corners
+// so the edge cells they land in are populated.
+TEST(Fof, NonFiniteCoordinatesNeverLink) {
+  Rng rng(151);
+  Cloud cloud;
+  cloud.add_blob(rng, 1.0, 1.0, 1.0, 60, 0.4);
+  cloud.add_blob(rng, 63.0, 63.0, 63.0, 60, 0.4);
+  cloud.add_blob(rng, 32.0, 32.0, 32.0, 60, 0.4);
+  cloud.add_uniform(rng, 200, 64.0);
+  const std::size_t n_finite = cloud.x.size();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float bad[] = {nan, nan, inf, inf, -inf, -inf, 3e38f};
+  for (const float v : bad) {
+    // The bad value on one axis, then on all three.
+    cloud.x.push_back(v), cloud.y.push_back(1.0f), cloud.z.push_back(1.0f);
+    cloud.x.push_back(v), cloud.y.push_back(v), cloud.z.push_back(v);
+  }
+  const std::span<const float> fx(cloud.x.data(), n_finite), fy(cloud.y.data(), n_finite),
+      fz(cloud.z.data(), n_finite);
+  ThreadPool pool(2);
+  for (const bool periodic : {true, false}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      FofParams params;
+      params.linking_length = 1.0;
+      params.min_members = 2;
+      params.box = 64.0;
+      params.periodic = periodic;
+      params.most_connected = true;
+      const FofResult expected = fof(fx, fy, fz, params, p);
+      const FofResult got = fof(cloud.x, cloud.y, cloud.z, params, p);
+      ASSERT_GE(expected.halos.size(), 3u);
+      for (std::size_t i = n_finite; i < cloud.x.size(); ++i) {
+        EXPECT_EQ(got.halo_of_particle[i], -1) << "particle " << i;
+      }
+      EXPECT_TRUE(std::equal(expected.halo_of_particle.begin(), expected.halo_of_particle.end(),
+                             got.halo_of_particle.begin()));
+      ASSERT_EQ(got.halos.size(), expected.halos.size());
+      for (std::size_t h = 0; h < got.halos.size(); ++h) {
+        EXPECT_EQ(got.halos[h].members, expected.halos[h].members);
+        EXPECT_EQ(std::memcmp(&got.halos[h].cx, &expected.halos[h].cx, 3 * sizeof(double)), 0);
+        EXPECT_EQ(got.halos[h].most_connected_particle,
+                  expected.halos[h].most_connected_particle);
       }
     }
   }

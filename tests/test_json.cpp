@@ -86,6 +86,35 @@ TEST(Json, MalformedInputsThrow) {
   EXPECT_THROW(parse("{1: 2}"), FormatError);
 }
 
+// Parse errors name the byte offset where parsing stopped and the reason.
+TEST(Json, MalformedInputsReportOffsetAndReason) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "offset 0: unexpected end of input"},
+      {"[1,]", "offset 3: expected a value"},
+      {"{\"a\" 1}", "offset 5: expected ':'"},
+      {"tru", "offset 0: bad literal"},
+      {"\"unterminated", "offset 1: unterminated string"},
+      {"1 2", "offset 2: trailing characters after JSON value"},
+      {"{1: 2}", "offset 1: expected object key string"},
+      {"[1 2]", "offset 4: expected ',' or ']' in array"},
+      {"{\"a\":1 \"b\"}", "offset 8: expected ',' or '}' in object"},
+      {"\"\\u12g4\"", "offset 6: bad hex digit in \\u escape"},
+      {"\"\\q\"", "offset 3: bad escape character"},
+      {"\"abc\\", "offset 5: unterminated escape"},
+      {"\"\\u12\"", "offset 3: bad \\u escape"},
+      {"1.2.3", "offset 5: malformed number '1.2.3'"},
+      {"{\"a\":1,}", "offset 7: expected object key string"},
+  };
+  for (const auto& [text, want] : cases) {
+    try {
+      (void)parse(text);
+      ADD_FAILURE() << "no error for " << text;
+    } catch (const FormatError& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("json parse error at ") + want) << text;
+    }
+  }
+}
+
 TEST(Json, TypeMismatchThrows) {
   const Value v = parse("[1]");
   EXPECT_THROW(v.as_object(), FormatError);

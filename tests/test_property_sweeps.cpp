@@ -172,7 +172,9 @@ TEST_P(DialectSweep, ArbitraryVariableMixRoundTrips) {
     variable.attributes["note"] = "sweep, dialect test";
     c.variables.push_back(std::move(variable));
   }
-  const std::string path = ::testing::TempDir() + "/dialect_sweep.bin";
+  // One file per dialect: ctest runs the two instances in parallel.
+  const std::string path = ::testing::TempDir() + "/dialect_sweep_" +
+                           std::to_string(static_cast<int>(GetParam())) + ".bin";
   io::save(c, path, GetParam());
   const auto loaded = io::load(path);
   ASSERT_EQ(loaded.variables.size(), c.variables.size());
