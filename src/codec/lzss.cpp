@@ -1,5 +1,6 @@
 #include "codec/lzss.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -23,8 +24,18 @@ constexpr std::size_t kWindow = 1u << kWindowBits;
 constexpr std::size_t kHashSize = 1u << 15;
 constexpr int kMaxChain = 32;
 constexpr std::size_t kDefaultChunkBytes = 1u << 20;
+constexpr std::size_t kSeenStretch = 1u << 14;
 
-std::uint32_t hash_u32(std::uint32_t x) { return (x * 2654435761u) >> (32 - 15); }
+constexpr std::uint32_t kHashMul = 2654435761u;
+
+std::uint32_t hash_u32(std::uint32_t x) { return (x * kHashMul) >> (32 - 15); }
+
+/// Width of the seen table's index: about four slots per input byte, from
+/// 2^10 up to 2^18 slots (1 MiB). It scales with the range so a small input
+/// does not pay for clearing a large table.
+unsigned seen_bits_for(std::size_t size) {
+  return std::clamp<unsigned>(static_cast<unsigned>(std::bit_width(size)) + 1, 10, 18);
+}
 
 std::uint32_t hash4(const std::uint8_t* p) {
   std::uint32_t x;
@@ -83,7 +94,20 @@ inline std::size_t match_length(const std::uint8_t* input, std::size_t c, std::s
 ///  - the head/prev chain tables are 32-bit and leased from \p arena (when
 ///    given) so per-chunk runs reuse capacity instead of reallocating, and
 ///    prev is never pre-filled: entries are written at insert time before
-///    any chain walk can read them.
+///    any chain walk can read them;
+///  - a "seen" table, indexed by a wider hash of the same four bytes,
+///    holds the last inserted position per slot. A gate survivor c has the
+///    probe's four bytes, so it hashed to the probe's slot when it was
+///    inserted, and positions are inserted in increasing order: the slot
+///    then holds a position >= c >= limit. A slot below limit therefore
+///    proves the walk would find nothing, and the position is a literal
+///    without a walk. On high-entropy input (the Huffman-coded SZ stream)
+///    that skips most walks, each a chain of dependent loads. Where matches
+///    cover nearly every byte the walks are few and the extra store per
+///    inserted position is the larger cost, so upkeep is decided per
+///    kSeenStretch bytes from the previous stretch's literal share; after a
+///    pause the table is trusted again only once the window lies wholly
+///    past the restart (limit >= seen_from).
 std::vector<std::uint8_t> encode_range(const std::uint8_t* input, std::size_t size,
                                        ScratchArena* arena) {
   BitWriter bw;
@@ -102,26 +126,47 @@ std::vector<std::uint8_t> encode_range(const std::uint8_t* input, std::size_t si
   if (arena == nullptr) arena = &local_arena;
   ArenaLease<std::int32_t> head_lease = arena->ints();
   ArenaLease<std::int32_t> prev_lease = arena->ints();
+  ArenaLease<std::int32_t> seen_lease = arena->ints();
   head_lease->assign(kHashSize, -1);
   if (prev_lease->size() < size) prev_lease->resize(size);
+  const unsigned seen_shift = 32 - seen_bits_for(size);
+  seen_lease->assign(std::size_t{1} << (32 - seen_shift), -1);
   std::int32_t* const head = head_lease->data();
   std::int32_t* const prev = prev_lease->data();
+  std::int32_t* const seen = seen_lease->data();
 
   BitWriter::Appender ap(bw);
   ap.put(kMagic, 32);
   ap.put(size, 64);
 
+  // Every position inserted at or after seen_from is in seen while
+  // track_seen holds.
+  bool track_seen = true;
+  std::size_t seen_from = 0;
+  std::size_t stretch_end = kSeenStretch;
+  std::size_t stretch_literals = 0;
+
   std::size_t i = 0;
   while (i < size) {
+    if (i >= stretch_end) {
+      const bool track = stretch_literals * 16 >= kSeenStretch;
+      if (track && !track_seen) seen_from = i;
+      track_seen = track;
+      stretch_end = i + kSeenStretch;
+      stretch_literals = 0;
+    }
     std::size_t best_len = 0;
     std::size_t best_dist = 0;
     std::uint32_t h = 0;
+    std::uint32_t hs = 0;
     std::int32_t cand0 = -1;
     bool hashed = false;
     if (i + kMinMatch <= size) {
       std::uint32_t vi;
       std::memcpy(&vi, input + i, 4);
-      h = hash_u32(vi);
+      const std::uint32_t mixed = vi * kHashMul;
+      h = mixed >> (32 - 15);
+      hs = mixed >> seen_shift;
       hashed = true;
       cand0 = head[h];
       // Overlap the next position's head load with this walk (pure hint;
@@ -129,7 +174,9 @@ std::vector<std::uint8_t> encode_range(const std::uint8_t* input, std::size_t si
       if (i + 5 <= size) __builtin_prefetch(&head[hash4(&input[i + 1])], 1);
       const std::int32_t limit =
           i > kWindow ? static_cast<std::int32_t>(i - kWindow) : 0;
-      std::int32_t cand = cand0;
+      const bool none_seen = track_seen && static_cast<std::size_t>(limit) >= seen_from &&
+                             seen[hs] < limit;
+      std::int32_t cand = none_seen ? -1 : cand0;
       const std::size_t max_len = std::min(kMaxMatch, size - i);
       for (int chain = 0; chain < kMaxChain; ++chain) {
         if (cand < limit) break;
@@ -160,7 +207,19 @@ std::vector<std::uint8_t> encode_range(const std::uint8_t* input, std::size_t si
       if (j < end) {
         prev[j] = cand0;
         head[h] = static_cast<std::int32_t>(j);
+        if (track_seen) seen[hs] = static_cast<std::int32_t>(j);
         ++j;
+      }
+      if (track_seen) {
+        for (; j < end; ++j) {
+          std::uint32_t vj;
+          std::memcpy(&vj, input + j, 4);
+          const std::uint32_t mixed = vj * kHashMul;
+          const std::uint32_t h2 = mixed >> (32 - 15);
+          prev[j] = head[h2];
+          head[h2] = static_cast<std::int32_t>(j);
+          seen[mixed >> seen_shift] = static_cast<std::int32_t>(j);
+        }
       }
       for (; j < end; ++j) {
         const std::uint32_t h2 = hash4(&input[j]);
@@ -173,7 +232,9 @@ std::vector<std::uint8_t> encode_range(const std::uint8_t* input, std::size_t si
       if (hashed) {
         prev[i] = cand0;
         head[h] = static_cast<std::int32_t>(i);
+        if (track_seen) seen[hs] = static_cast<std::int32_t>(i);
       }
+      ++stretch_literals;
       ++i;
     }
   }

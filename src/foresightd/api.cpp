@@ -123,8 +123,10 @@ JobReply JobReply::parse(json::Value frame) {
     r.reason = frame.get("reason", std::string());
     r.payload_omitted = frame.get("payload_omitted", false);
     r.payload_transfer = frame.get("payload_transfer", std::string());
-    const std::string payload_b64 = frame.get("payload", std::string());
-    if (!payload_b64.empty()) r.payload = base64_decode(payload_b64);
+    if (frame.contains("payload")) {
+      const std::string& payload_b64 = frame.at("payload").as_string();
+      if (!payload_b64.empty()) r.payload = base64_decode(payload_b64);
+    }
   } else if (type == "error") {
     r.kind = ReplyKind::kError;
     r.error = frame.get("error", std::string());

@@ -1,5 +1,6 @@
 #include "foresightd/protocol.hpp"
 
+#include <array>
 #include <cctype>
 #include <cstring>
 
@@ -90,9 +91,8 @@ std::optional<json::Value> FrameParser::next() {
     return std::nullopt;
   }
   const char* begin = reinterpret_cast<const char*>(buffer_.data() + consumed_ + 4);
-  const std::string payload(begin, begin + len);
   consumed_ += 4 + static_cast<std::size_t>(len);
-  return json::parse(payload);  // throws FormatError on malformed JSON
+  return json::parse(std::string_view(begin, len));  // throws FormatError on malformed JSON
 }
 
 // ---------------------------------------------------------------------------
@@ -115,20 +115,35 @@ constexpr std::uint8_t b64_value(char c) {
   return 255;
 }
 
+/// b64_value for every byte, so a quartet costs four loads.
+constexpr std::array<std::uint8_t, 256> kB64Decode = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (int c = 0; c < 256; ++c) t[static_cast<std::size_t>(c)] = b64_value(static_cast<char>(c));
+  return t;
+}();
+
 }  // namespace
 
 std::string base64_encode(const std::uint8_t* data, std::size_t n) {
-  std::string out;
-  out.reserve((n + 2) / 3 * 4);
-  for (std::size_t i = 0; i < n; i += 3) {
-    const std::uint32_t b0 = data[i];
+  // Sized once and written in place: replies carry payloads of hundreds of
+  // KiB, and a push_back per output char cost more than the table lookups.
+  std::string out((n + 2) / 3 * 4, '=');
+  char* o = out.data();
+  std::size_t i = 0;
+  for (; i + 3 <= n; i += 3, o += 4) {
+    const std::uint32_t triple = (static_cast<std::uint32_t>(data[i]) << 16) |
+                                 (static_cast<std::uint32_t>(data[i + 1]) << 8) | data[i + 2];
+    o[0] = kB64Alphabet[(triple >> 18) & 0x3F];
+    o[1] = kB64Alphabet[(triple >> 12) & 0x3F];
+    o[2] = kB64Alphabet[(triple >> 6) & 0x3F];
+    o[3] = kB64Alphabet[triple & 0x3F];
+  }
+  if (i < n) {  // one or two trailing bytes; the '=' padding is already there
     const std::uint32_t b1 = i + 1 < n ? data[i + 1] : 0;
-    const std::uint32_t b2 = i + 2 < n ? data[i + 2] : 0;
-    const std::uint32_t triple = (b0 << 16) | (b1 << 8) | b2;
-    out.push_back(kB64Alphabet[(triple >> 18) & 0x3F]);
-    out.push_back(kB64Alphabet[(triple >> 12) & 0x3F]);
-    out.push_back(i + 1 < n ? kB64Alphabet[(triple >> 6) & 0x3F] : '=');
-    out.push_back(i + 2 < n ? kB64Alphabet[triple & 0x3F] : '=');
+    const std::uint32_t triple = (static_cast<std::uint32_t>(data[i]) << 16) | (b1 << 8);
+    o[0] = kB64Alphabet[(triple >> 18) & 0x3F];
+    o[1] = kB64Alphabet[(triple >> 12) & 0x3F];
+    if (i + 1 < n) o[2] = kB64Alphabet[(triple >> 6) & 0x3F];
   }
   return out;
 }
@@ -139,27 +154,32 @@ std::string base64_encode(const std::vector<std::uint8_t>& data) {
 
 std::vector<std::uint8_t> base64_decode(const std::string& text) {
   require_format(text.size() % 4 == 0, "base64: length not a multiple of 4");
-  std::vector<std::uint8_t> out;
-  out.reserve(text.size() / 4 * 3);
+  std::vector<std::uint8_t> out(text.size() / 4 * 3);
+  std::uint8_t* o = out.data();
+  const auto* in = reinterpret_cast<const unsigned char*>(text.data());
   for (std::size_t i = 0; i < text.size(); i += 4) {
-    std::uint8_t v[4];
-    for (int j = 0; j < 4; ++j) {
-      v[j] = b64_value(text[i + j]);
-      require_format(v[j] != 255, "base64: invalid character");
+    const std::uint8_t v[4] = {kB64Decode[in[i]], kB64Decode[in[i + 1]], kB64Decode[in[i + 2]],
+                               kB64Decode[in[i + 3]]};
+    // Alphabet values are < 64, so one test passes every quartet without
+    // padding or bad characters; the rest take the checks below in the
+    // order they have always been made (so the first error is the same).
+    if (((v[0] | v[1] | v[2] | v[3]) & 0xC0) != 0) {
+      for (int j = 0; j < 4; ++j) require_format(v[j] != 255, "base64: invalid character");
+      // Padding only in the last two positions of the last quartet.
+      const bool last = i + 4 == text.size();
+      require_format(v[0] != 64 && v[1] != 64, "base64: misplaced padding");
+      require_format(last || (v[2] != 64 && v[3] != 64), "base64: misplaced padding");
+      require_format(v[2] != 64 || v[3] == 64, "base64: misplaced padding");
     }
-    // Padding only in the last two positions of the last quartet.
-    const bool last = i + 4 == text.size();
-    require_format(v[0] != 64 && v[1] != 64, "base64: misplaced padding");
-    require_format(last || (v[2] != 64 && v[3] != 64), "base64: misplaced padding");
-    require_format(v[2] != 64 || v[3] == 64, "base64: misplaced padding");
     const std::uint32_t triple = (static_cast<std::uint32_t>(v[0]) << 18) |
                                  (static_cast<std::uint32_t>(v[1]) << 12) |
                                  (static_cast<std::uint32_t>(v[2] & 0x3F) << 6) |
                                  (v[3] & 0x3F);
-    out.push_back(static_cast<std::uint8_t>((triple >> 16) & 0xFF));
-    if (v[2] != 64) out.push_back(static_cast<std::uint8_t>((triple >> 8) & 0xFF));
-    if (v[3] != 64) out.push_back(static_cast<std::uint8_t>(triple & 0xFF));
+    *o++ = static_cast<std::uint8_t>((triple >> 16) & 0xFF);
+    if (v[2] != 64) *o++ = static_cast<std::uint8_t>((triple >> 8) & 0xFF);
+    if (v[3] != 64) *o++ = static_cast<std::uint8_t>(triple & 0xFF);
   }
+  out.resize(static_cast<std::size_t>(o - out.data()));
   return out;
 }
 

@@ -1,8 +1,10 @@
 #include "json/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -70,10 +72,19 @@ bool Value::get(const std::string& key, bool fallback) const {
   return contains(key) ? at(key).as_bool() : fallback;
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
+namespace {
+
+/// Appends \p s escaped per JSON rules. Runs of characters that need no
+/// escape are appended whole: string values include base64 payloads of
+/// hundreds of KiB, which a per-character append made a visible share of a
+/// reply's cost.
+void escape_to(std::string& out, std::string_view s) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -82,14 +93,18 @@ std::string escape(const std::string& s) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strprintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      default: out += strprintf("\\u%04x", c);
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
+
+std::string escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  escape_to(out, s);
   return out;
 }
 
@@ -123,7 +138,7 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
     out += format_number(as_number());
   } else if (is_string()) {
     out += '"';
-    out += escape(as_string());
+    escape_to(out, as_string());
     out += '"';
   } else if (is_array()) {
     const auto& arr = as_array();
@@ -153,7 +168,7 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
     for (const auto& [k, v] : obj) {
       out += pad;
       out += '"';
-      out += escape(k);
+      escape_to(out, k);
       out += "\":";
       if (indent > 0) out += ' ';
       v.dump_to(out, indent, depth + 1);
@@ -176,7 +191,7 @@ namespace {
 /// Recursive-descent JSON parser over a string view with offset tracking.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : s_(text) {}
+  explicit Parser(std::string_view text) : s_(text) {}
 
   Value parse_document() {
     Value v = parse_value();
@@ -213,9 +228,9 @@ class Parser {
     ++pos_;
   }
 
-  bool consume_literal(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (s_.compare(pos_, n, lit) == 0) {
+  bool consume_literal(std::string_view lit) {
+    const std::size_t n = lit.size();
+    if (s_.substr(pos_, n) == lit) {
       pos_ += n;
       return true;
     }
@@ -284,15 +299,26 @@ class Parser {
   std::string parse_string() {
     expect('"');
     std::string out;
+    // Next quote and next backslash at or after pos_, each found with one
+    // memchr and reused until pos_ passes it, so a long string is scanned
+    // once however many escapes it holds.
+    std::size_t quote = 0, backslash = 0;
+    const auto next_of = [&](char c, std::size_t& at) {
+      if (at < pos_) {
+        const void* p = std::memchr(s_.data() + pos_, c, s_.size() - pos_);
+        at = p ? static_cast<std::size_t>(static_cast<const char*>(p) - s_.data()) : s_.size();
+      }
+      return at;
+    };
     for (;;) {
       if (pos_ >= s_.size()) fail("unterminated string");
       // Bulk-copy the run up to the next quote or backslash: multi-megabyte
       // payload strings (base64 chunks) would otherwise be appended a byte
       // at a time.
-      const std::size_t run_end = s_.find_first_of("\"\\", pos_);
-      if (run_end == std::string::npos) fail("unterminated string");
+      const std::size_t run_end = std::min(next_of('"', quote), next_of('\\', backslash));
+      if (run_end == s_.size()) fail("unterminated string");
       if (run_end > pos_) {
-        out.append(s_, pos_, run_end - pos_);
+        out.append(s_.data() + pos_, run_end - pos_);
         pos_ = run_end;
       }
       const char c = s_[pos_++];
@@ -347,20 +373,20 @@ class Parser {
       ++pos_;
     }
     if (pos_ == begin) fail("expected a value");
-    const std::string tok = s_.substr(begin, pos_ - begin);
+    const std::string tok(s_.substr(begin, pos_ - begin));
     char* end = nullptr;
     const double d = std::strtod(tok.c_str(), &end);
     if (end != tok.c_str() + tok.size()) fail("malformed number '" + tok + "'");
     return Value(d);
   }
 
-  const std::string& s_;
+  std::string_view s_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
-Value parse(const std::string& text) { return Parser(text).parse_document(); }
+Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
 Value parse_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -75,7 +76,7 @@ class Value {
 
 /// Parses a complete JSON document; throws FormatError with offset info on
 /// malformed input. Trailing non-whitespace is rejected.
-Value parse(const std::string& text);
+Value parse(std::string_view text);
 
 /// Reads and parses a JSON file; throws IoError / FormatError.
 Value parse_file(const std::string& path);

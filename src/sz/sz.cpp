@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "codec/huffman.hpp"
 #include "codec/lzss.hpp"
@@ -167,8 +168,27 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
 
   {
     TRACE_SPAN("sz.lorenzo_quantize");
-    parallel_for(pool, n_blocks, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t b = lo; b < hi; ++b) {
+    // One block's quantization cursor: its codes go to consecutive slots
+    // from the block's prefix offset, its unpredictable values to its own
+    // list, in visit order.
+    struct BlockQuant {
+      std::size_t b;
+      const BlockRange* blk;
+      bool use_reg;
+      RegressionCoef coef;
+      std::size_t ci;
+    };
+    const auto quant_at = [&](BlockQuant& q, float pred, std::size_t idx) {
+      const Quantizer::Result r = quant.quantize(data[idx], pred);
+      codes[q.ci++] = r.code;
+      if (r.code == 0) {
+        block_unpred[q.b].push_back(data[idx]);
+        recon[idx] = data[idx];
+      } else {
+        recon[idx] = r.reconstructed;
+      }
+    };
+    const auto prepare = [&](std::size_t b) {
       const BlockRange& blk = layout.blocks[b];
       bool use_reg = false;
       RegressionCoef coef;
@@ -180,57 +200,95 @@ void compress_into(std::span<const float> data, const Dims& dims, const Params& 
       }
       block_flags[b] = use_reg ? 1 : 0;
       if (use_reg) block_coefs[b] = coef;
-      std::size_t ci = layout.code_off[b];
-      // One quantize step: same arithmetic as before, shared by all the
-      // prediction variants below.
-      const auto quant_at = [&](float pred, std::size_t idx) {
-        const Quantizer::Result q = quant.quantize(data[idx], pred);
-        codes[ci++] = q.code;
-        if (q.code == 0) {
-          block_unpred[b].push_back(data[idx]);
-          recon[idx] = data[idx];
-        } else {
-          recon[idx] = q.reconstructed;
-        }
-      };
-      // The use_reg / Lorenzo / boundary decisions are hoisted out of the
-      // per-point loop: regression rows are branch-free (the prediction
-      // reads no reconstructed neighbors), and Lorenzo interior rows run
-      // the direct seven-load stencil — only boundary rows and the x0
-      // column pay the general masked lorenzo_predict. Expressions and
-      // visit order are unchanged, so codes and streams are byte-identical.
-      const int rank = dims.rank();
-      const std::size_t nx = dims.nx;
-      const std::size_t nxy = dims.nx * dims.ny;
+      return BlockQuant{b, &blk, use_reg, coef, layout.code_off[b]};
+    };
+    // The use_reg / Lorenzo / boundary decisions are hoisted out of the
+    // per-point loop: regression rows are branch-free (the prediction
+    // reads no reconstructed neighbors), and Lorenzo interior rows run
+    // the direct seven-load stencil — only boundary rows and the x0
+    // column pay the general masked lorenzo_predict. Expressions and
+    // visit order are unchanged, so codes and streams are byte-identical.
+    const int rank = dims.rank();
+    const std::size_t nx = dims.nx;
+    const std::size_t nxy = dims.nx * dims.ny;
+    // Quantizes row (dy, dz) of one block (offsets from the block origin).
+    const auto quantize_row = [&](BlockQuant& q, std::size_t dy, std::size_t dz) {
+      const BlockRange& blk = *q.blk;
+      const std::size_t y = blk.y0 + dy, z = blk.z0 + dz;
+      const std::size_t row = dims.index(blk.x0, y, z);
       const std::size_t row_n = blk.x1 - blk.x0;
-      for (std::size_t z = blk.z0; z < blk.z1; ++z) {
-        const bool zm = z > blk.z0;
-        for (std::size_t y = blk.y0; y < blk.y1; ++y) {
-          const bool ym = y > blk.y0;
-          const std::size_t row = dims.index(blk.x0, y, z);
-          if (use_reg) {
-            const std::size_t dy = y - blk.y0;
-            const std::size_t dz = z - blk.z0;
-            for (std::size_t k = 0; k < row_n; ++k) quant_at(coef.predict(k, dy, dz), row + k);
-          } else if ((rank == 3 && ym && zm) || (rank == 2 && ym)) {
-            quant_at(lorenzo_predict(recon, dims, blk, blk.x0, y, z), row);
-            if (rank == 3) {
-              for (std::size_t k = 1; k < row_n; ++k) {
-                quant_at(lorenzo_predict3_interior(recon.data(), row + k, nx, nxy), row + k);
-              }
-            } else {
-              for (std::size_t k = 1; k < row_n; ++k) {
-                quant_at(lorenzo_predict2_interior(recon.data(), row + k, nx), row + k);
-              }
-            }
-          } else {
-            for (std::size_t k = 0; k < row_n; ++k) {
-              quant_at(lorenzo_predict(recon, dims, blk, blk.x0 + k, y, z), row + k);
-            }
+      if (q.use_reg) {
+        for (std::size_t k = 0; k < row_n; ++k) quant_at(q, q.coef.predict(k, dy, dz), row + k);
+      } else if ((rank == 3 && dy > 0 && dz > 0) || (rank == 2 && dy > 0)) {
+        quant_at(q, lorenzo_predict(recon, dims, blk, blk.x0, y, z), row);
+        if (rank == 3) {
+          for (std::size_t k = 1; k < row_n; ++k) {
+            quant_at(q, lorenzo_predict3_interior(recon.data(), row + k, nx, nxy), row + k);
+          }
+        } else {
+          for (std::size_t k = 1; k < row_n; ++k) {
+            quant_at(q, lorenzo_predict2_interior(recon.data(), row + k, nx), row + k);
+          }
+        }
+      } else {
+        for (std::size_t k = 0; k < row_n; ++k) {
+          quant_at(q, lorenzo_predict(recon, dims, blk, blk.x0 + k, y, z), row + k);
+        }
+      }
+    };
+    const auto quantize_block = [&](BlockQuant& q) {
+      const BlockRange& blk = *q.blk;
+      for (std::size_t dz = 0; dz < blk.z1 - blk.z0; ++dz) {
+        for (std::size_t dy = 0; dy < blk.y1 - blk.y0; ++dy) quantize_row(q, dy, dz);
+      }
+    };
+    // Two rank-3 Lorenzo blocks of one shape, row by row in lockstep. Each
+    // point's reconstruction feeds the next point's prediction, so one
+    // block is a chain of dependent divides and rounds; blocks never read
+    // each other, and interleaving two of them lets the core overlap the
+    // two chains. Every block still visits its own points in its own order,
+    // so codes, unpredictable lists and reconstructions are unchanged.
+    const auto quantize_pair = [&](BlockQuant& a, BlockQuant& c) {
+      const BlockRange& ba = *a.blk;
+      const BlockRange& bc = *c.blk;
+      const std::size_t row_n = ba.x1 - ba.x0;
+      for (std::size_t dz = 0; dz < ba.z1 - ba.z0; ++dz) {
+        for (std::size_t dy = 0; dy < ba.y1 - ba.y0; ++dy) {
+          if (dy == 0 || dz == 0) {
+            quantize_row(a, dy, dz);
+            quantize_row(c, dy, dz);
+            continue;
+          }
+          const std::size_t ra = dims.index(ba.x0, ba.y0 + dy, ba.z0 + dz);
+          const std::size_t rc = dims.index(bc.x0, bc.y0 + dy, bc.z0 + dz);
+          quant_at(a, lorenzo_predict(recon, dims, ba, ba.x0, ba.y0 + dy, ba.z0 + dz), ra);
+          quant_at(c, lorenzo_predict(recon, dims, bc, bc.x0, bc.y0 + dy, bc.z0 + dz), rc);
+          for (std::size_t k = 1; k < row_n; ++k) {
+            quant_at(a, lorenzo_predict3_interior(recon.data(), ra + k, nx, nxy), ra + k);
+            quant_at(c, lorenzo_predict3_interior(recon.data(), rc + k, nx, nxy), rc + k);
           }
         }
       }
-    }
+    };
+    const auto same_shape = [](const BlockRange& p, const BlockRange& q) {
+      return p.x1 - p.x0 == q.x1 - q.x0 && p.y1 - p.y0 == q.y1 - q.y0 &&
+             p.z1 - p.z0 == q.z1 - q.z0;
+    };
+    parallel_for(pool, n_blocks, [&](std::size_t lo, std::size_t hi) {
+      std::optional<BlockQuant> held;  // a Lorenzo block waiting for a partner
+      for (std::size_t b = lo; b < hi; ++b) {
+        BlockQuant q = prepare(b);
+        if (rank != 3 || q.use_reg) {
+          quantize_block(q);
+        } else if (held && same_shape(*held->blk, *q.blk)) {
+          quantize_pair(*held, q);
+          held.reset();
+        } else {
+          if (held) quantize_block(*held);
+          held = q;
+        }
+      }
+      if (held) quantize_block(*held);
     }, /*min_grain=*/1);
   }
 

@@ -75,6 +75,36 @@ void inv_xform(Int* p, int rank) {
     for (std::size_t y = 0; y < 4; ++y) inv_lift(p + 16 * z + 4 * y, 1);
 }
 
+/// Transposes a 32x32 bit matrix in place, element (r, c) being bit c of
+/// a[r]. Level j swaps, inside every aligned 2j x 2j tile, the j x j
+/// sub-tile right of the diagonal with the one below it; the five levels
+/// together exchange row and column indices.
+void transpose32(std::array<UInt, 32>& a) {
+  UInt m = 0x0000FFFFu;
+  for (unsigned j = 16; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 32; k = (k + j + 1) & ~j) {
+      const UInt t = ((a[k] >> j) ^ a[k + j]) & m;
+      a[k] ^= t << j;
+      a[k + j] ^= t;
+    }
+  }
+}
+
+/// Bit planes of a block of up to 64 values: bit i of planes[k] is bit k
+/// of data[i]. Two 32x32 transposes cost less than gathering each plane
+/// the encoder reads value by value.
+std::array<std::uint64_t, kIntPrec> bit_planes(std::span<const UInt> data) {
+  std::array<UInt, 32> lo{}, hi{};
+  for (std::size_t i = 0; i < data.size(); ++i) (i < 32 ? lo[i] : hi[i - 32]) = data[i];
+  transpose32(lo);
+  transpose32(hi);
+  std::array<std::uint64_t, kIntPrec> planes{};
+  for (std::size_t k = 0; k < kIntPrec; ++k) {
+    planes[k] = lo[k] | (static_cast<std::uint64_t>(hi[k]) << 32);
+  }
+  return planes;
+}
+
 /// Maximum base-2 exponent over a block (frexp convention: |x| < 2^emax).
 int block_emax(std::span<const float> block) {
   float max_abs = 0.0f;
@@ -153,12 +183,10 @@ unsigned encode_ints(BitWriter& bw, unsigned maxbits, unsigned maxprec,
   const unsigned kmin = kIntPrec > maxprec ? kIntPrec - maxprec : 0;
   unsigned bits = maxbits;
   std::size_t n = 0;
+  const std::array<std::uint64_t, kIntPrec> planes = bit_planes(data);
   for (unsigned k = kIntPrec; bits && k-- > kmin;) {
-    // Step 1: extract bit plane k.
-    std::uint64_t x = 0;
-    for (std::size_t i = 0; i < size; ++i) {
-      x += static_cast<std::uint64_t>((data[i] >> k) & 1u) << i;
-    }
+    // Step 1: bit plane k.
+    std::uint64_t x = planes[k];
     // Step 2: first n bits verbatim (these values are already significant).
     const unsigned m = std::min<unsigned>(static_cast<unsigned>(n), bits);
     bits -= m;
@@ -166,14 +194,37 @@ unsigned encode_ints(BitWriter& bw, unsigned maxbits, unsigned maxprec,
     // m == 64 only when the whole block is already significant; x is dead
     // then, but shift-by-64 is UB, so clear it explicitly.
     x = m < 64 ? x >> m : 0;
-    // Step 3: unary run-length code for newly significant values.
-    auto wbit = [&bw](bool b) {
-      bw.put_bit(b);
-      return b;
-    };
-    for (; n < size && bits && (--bits, wbit(x != 0)); x >>= 1, ++n) {
-      for (; n < size - 1 && bits && (--bits, !wbit((x & 1u) != 0)); x >>= 1, ++n) {
+    // Step 3: unary run-length code for newly significant values, one put
+    // per group instead of one per bit. A group is the group-test bit (1),
+    // the zero run of still-insignificant values up to the next significant
+    // one, and that value's 1 — or, when the run reaches the block's last
+    // value, the zeros alone (the last value is then implied). A group cut
+    // by the bit budget keeps its low (first-written) bits, so the stream
+    // is the per-bit loop's bit for bit, as decode_ints reads it.
+    while (n < size && bits) {
+      if (x == 0) {  // group test 0: no more significant values in this plane
+        --bits;
+        bw.put_bit(false);
+        break;
       }
+      const std::size_t avail = size - 1 - n;  // values the zero run may cover
+      const auto z = static_cast<unsigned>(std::countr_zero(x));  // z <= avail
+      std::uint64_t group = 1;
+      unsigned len = static_cast<unsigned>(avail) + 1;
+      if (z < avail) {
+        group |= std::uint64_t{2} << z;
+        len = z + 2;
+      }
+      const unsigned step = z < avail ? z + 1 : len;
+      if (len >= bits) {
+        bw.put(group, bits);
+        bits = 0;
+        break;
+      }
+      bw.put(group, len);
+      bits -= len;
+      n += step;
+      x = step < 64 ? x >> step : 0;
     }
   }
   return maxbits - bits;
@@ -248,10 +299,14 @@ unsigned encode_block_float(BitWriter& bw, std::span<const float> block, int ran
     bw.put(static_cast<std::uint64_t>(emax + 256), 10);
     // Align to common exponent and convert to fixed point (2 headroom bits
     // absorb transform gain).
+    // Scaling by 2^(30 - emax) is exact in double for every finite float:
+    // the scale lies in [2^-98, 2^178] and nonzero products in
+    // [2^-247, 2^30), all normal doubles. So one multiply per value gives
+    // the same bits as a libm ldexp call per value.
+    const double scale = std::ldexp(1.0, static_cast<int>(kIntPrec) - 2 - emax);
     std::array<Int, 64> ints{};
     for (std::size_t i = 0; i < size; ++i) {
-      ints[i] = static_cast<Int>(std::ldexp(static_cast<double>(block[i]),
-                                            static_cast<int>(kIntPrec) - 2 - emax));
+      ints[i] = static_cast<Int>(static_cast<double>(block[i]) * scale);
     }
     fwd_xform(ints.data(), rank);
     const auto perm = sequency_permutation(rank);
@@ -292,9 +347,10 @@ unsigned decode_block_float(BitReader& br, std::span<float> block, int rank,
     std::array<Int, 64> ints{};
     for (std::size_t i = 0; i < size; ++i) ints[perm[i]] = uint2int(coded[i]);
     inv_xform(ints.data(), rank);
+    // Exact power-of-two scaling, as in encode_block_float.
+    const double scale = std::ldexp(1.0, emax + 2 - static_cast<int>(kIntPrec));
     for (std::size_t i = 0; i < size; ++i) {
-      block[i] = static_cast<float>(std::ldexp(static_cast<double>(ints[i]),
-                                               emax + 2 - static_cast<int>(kIntPrec)));
+      block[i] = static_cast<float>(static_cast<double>(ints[i]) * scale);
     }
   }
 

@@ -91,6 +91,19 @@ std::vector<std::vector<std::uint8_t>> encode_byte_cases() {
     std::memcpy(mixed.data() + 250000, mixed.data() + 150001, 300);
     cases.push_back(std::move(mixed));
   }
+  // Literal-heavy, then match-covered, then literal-heavy again, with
+  // copies into the window: the encoder's seen table pauses over the
+  // matched stretch and must not be trusted until the window lies past
+  // the restart.
+  {
+    std::vector<std::uint8_t> phases(200000);
+    for (auto& b : phases) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+    for (std::size_t i = 48000; i < 96000; ++i) phases[i] = phases[48000 + (i - 48000) % 512];
+    std::memcpy(phases.data() + 130000, phases.data() + 90000, 64);   // from the pause
+    std::memcpy(phases.data() + 150000, phases.data() + 100000, 64);  // from before restart
+    std::memcpy(phases.data() + 185000, phases.data() + 125000, 64);  // seen table in use
+    cases.push_back(std::move(phases));
+  }
   cases.push_back(std::vector<std::uint8_t>(1 << 17, 0x42));  // constant
   {
     std::vector<std::uint8_t> periodic(1 << 17);

@@ -428,6 +428,32 @@ TEST(ForesightdBase64, RejectsMalformedInput) {
   EXPECT_THROW(base64_decode("=AAA"), FormatError);      // padding up front
   EXPECT_THROW(base64_decode("AA=A"), FormatError);      // padding mid-quartet
   EXPECT_THROW(base64_decode("AB==CD=="), FormatError);  // padding not terminal
+  EXPECT_THROW(base64_decode("AAA\xff"), FormatError);   // byte outside the alphabet
+  // The first failing check names the error: bad characters are checked
+  // before padding placement, quartet by quartet.
+  const auto reason = [](const std::string& text) {
+    try {
+      (void)base64_decode(text);
+    } catch (const FormatError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(reason("=A!A"), "base64: invalid character");
+  EXPECT_EQ(reason("AB==CD!A"), "base64: misplaced padding");
+  EXPECT_EQ(reason("ABCD=A!A"), "base64: invalid character");
+  EXPECT_EQ(reason("ABC"), "base64: length not a multiple of 4");
+}
+
+TEST(ForesightdBase64, RoundTripsEveryByteValue) {
+  std::vector<std::uint8_t> data;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int b = 0; b < 256; ++b) data.push_back(static_cast<std::uint8_t>(b * (rep + 1) + rep));
+  }
+  for (std::size_t n : {data.size(), data.size() - 1, data.size() - 2}) {
+    const std::vector<std::uint8_t> part(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_EQ(base64_decode(base64_encode(part)), part) << "n=" << n;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -33,6 +33,21 @@ TEST(Json, StringEscapes) {
   EXPECT_EQ(v.as_string(), "a\"b\\c\nd\tA");
 }
 
+TEST(Json, LongStringWithEveryEscapeRoundTrips) {
+  // Runs of plain characters between escapes of every kind, long enough
+  // that the parser's quote and backslash scans are reused across escapes.
+  std::string s;
+  for (int rep = 0; rep < 50; ++rep) {
+    for (int c = 1; c < 128; ++c) {
+      s += std::string(static_cast<std::size_t>(rep % 7), 'x');
+      s += static_cast<char>(c);
+    }
+  }
+  const std::string text = Value(s).dump();
+  EXPECT_EQ(parse(text).as_string(), s);
+  EXPECT_EQ(escape(std::string("a\x01\"\\b")), "a\\u0001\\\"\\\\b");
+}
+
 TEST(Json, UnicodeEscapeMultibyte) {
   EXPECT_EQ(parse(R"("é")").as_string(), "\xC3\xA9");   // e-acute
   EXPECT_EQ(parse(R"("€")").as_string(), "\xE2\x82\xAC");  // euro sign
