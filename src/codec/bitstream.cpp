@@ -1,10 +1,29 @@
 #include "codec/bitstream.hpp"
 
+#include <algorithm>
+
 namespace cosmo {
 
-void BitWriter::append(const BitWriter& other) {
-  for (const std::uint64_t w : other.words_) put(w, 64);
-  if (other.cur_bits_ > 0) put(other.cur_, other.cur_bits_);
+void BitWriter::append(const BitWriter& other, std::uint64_t from_bit) {
+  if (from_bit % 64 == 0) {
+    for (std::size_t k = static_cast<std::size_t>(from_bit / 64); k < other.words_.size(); ++k) {
+      put(other.words_[k], 64);
+    }
+    if (other.cur_bits_ > 0 && from_bit <= other.words_.size() * 64) {
+      put(other.cur_, other.cur_bits_);
+    }
+    return;
+  }
+  // Unaligned start: each put takes the next 64 bits straddling two words.
+  // Bits of the current word above cur_bits_ are zero, so the last, short
+  // put needs no mask beyond put's own.
+  const unsigned shift = static_cast<unsigned>(from_bit % 64);
+  for (std::uint64_t pos = from_bit; pos < other.bit_count_; pos += 64) {
+    const std::size_t k = static_cast<std::size_t>(pos / 64);
+    std::uint64_t v = other.word(k) >> shift;
+    if (k < other.words_.size()) v |= other.word(k + 1) << (64 - shift);
+    put(v, static_cast<unsigned>(std::min<std::uint64_t>(64, other.bit_count_ - pos)));
+  }
 }
 
 std::vector<std::uint8_t> BitWriter::finish() const {

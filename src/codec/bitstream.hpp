@@ -88,12 +88,26 @@ class BitWriter {
 
   class Appender;
 
-  /// Bit-level concatenation of another writer's content (the other writer
-  /// is unchanged). Concatenation is associative, so encoding ranges into
-  /// private writers and appending them in range order reproduces the
-  /// single-writer stream bit for bit — the mechanism behind the
-  /// thread-count-independent parallel codec paths.
-  void append(const BitWriter& other);
+  /// Bit-level concatenation of another writer's content from bit
+  /// \p from_bit on (the other writer is unchanged). Concatenation is
+  /// associative, so encoding ranges into private writers and appending
+  /// them in range order reproduces the single-writer stream bit for bit —
+  /// the mechanism behind the thread-count-independent parallel codec
+  /// paths. A nonzero \p from_bit drops a prefix of tokens the caller has
+  /// already written another way (the LZSS slice stitch).
+  void append(const BitWriter& other, std::uint64_t from_bit = 0);
+
+  /// The \p nbits (1..64) bits written at bit offset \p pos, LSB-first —
+  /// read-back of this writer's own content (the LZSS slice stitch walks a
+  /// slice's tokens with it). Requires pos + nbits <= bit_count().
+  [[nodiscard]] std::uint64_t bits_at(std::uint64_t pos, unsigned nbits) const {
+    require(nbits - 1 < 64 && pos + nbits <= bit_count_, "BitWriter::bits_at: out of range");
+    const std::size_t k = static_cast<std::size_t>(pos / 64);
+    const unsigned shift = static_cast<unsigned>(pos % 64);
+    std::uint64_t v = word(k) >> shift;
+    if (shift + nbits > 64) v |= word(k + 1) << (64 - shift);
+    return v & (~0ull >> (64 - nbits));
+  }
 
   /// Total bits written so far.
   [[nodiscard]] std::uint64_t bit_count() const { return bit_count_; }
@@ -105,6 +119,11 @@ class BitWriter {
   void clear();
 
  private:
+  /// Word \p k of the content: a full word, or the partial current one.
+  [[nodiscard]] std::uint64_t word(std::size_t k) const {
+    return k < words_.size() ? words_[k] : cur_;
+  }
+
   std::vector<std::uint64_t> words_;
   std::uint64_t cur_ = 0;
   unsigned cur_bits_ = 0;

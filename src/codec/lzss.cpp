@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "codec/bitstream.hpp"
 #include "common/error.hpp"
@@ -25,6 +27,9 @@ constexpr std::size_t kHashSize = 1u << 15;
 constexpr int kMaxChain = 32;
 constexpr std::size_t kDefaultChunkBytes = 1u << 20;
 constexpr std::size_t kSeenStretch = 1u << 14;
+/// Shortest slice a chunk is split into: a slice warms its chains over up
+/// to one window before it, so it covers at least that much.
+constexpr std::size_t kMinSliceBytes = kWindow;
 
 constexpr std::uint32_t kHashMul = 2654435761u;
 
@@ -63,8 +68,10 @@ inline std::size_t match_length(const std::uint8_t* input, std::size_t c, std::s
   return len;
 }
 
-/// Single-stream encode over a raw byte range (the chunked container calls
-/// this once per chunk, so each chunk's window never reaches outside it).
+/// The greedy parser over one range [input, input + size): hash chains, the
+/// seen table and its upkeep schedule, and the next position to parse.
+/// parse() resumes where the previous call stopped, so one parser can emit
+/// a range in pieces (the slice stitch re-parses that way).
 ///
 /// The fast path reproduces the reference encoder's stream byte for byte.
 /// The argument that lets it restructure the search: the emitted token at
@@ -91,8 +98,8 @@ inline std::size_t match_length(const std::uint8_t* input, std::size_t c, std::s
 ///  - the probe's hash reuses the four probe bytes already loaded for the
 ///    gate, and the literal-path insert reuses the head entry the search
 ///    already read (the search never writes the tables);
-///  - the head/prev chain tables are 32-bit and leased from \p arena (when
-///    given) so per-chunk runs reuse capacity instead of reallocating, and
+///  - the head/prev chain tables are 32-bit and leased from the caller's
+///    arena so per-chunk runs reuse capacity instead of reallocating, and
 ///    prev is never pre-filled: entries are written at insert time before
 ///    any chain walk can read them;
 ///  - a "seen" table, indexed by a wider hash of the same four bytes,
@@ -108,52 +115,94 @@ inline std::size_t match_length(const std::uint8_t* input, std::size_t c, std::s
 ///    kSeenStretch bytes from the previous stretch's literal share; after a
 ///    pause the table is trusted again only once the window lies wholly
 ///    past the restart (limit >= seen_from).
-std::vector<std::uint8_t> encode_range(const std::uint8_t* input, std::size_t size,
-                                       ScratchArena* arena) {
-  BitWriter bw;
-  // Worst case is all literals: 9 bits per input byte + the 96-bit header.
-  // One reserve up front, no growth in the loop.
-  bw.reserve_bits(size * 9 + 96);
+class ChainParser {
+ public:
+  /// Positions the parser at \p from with every position of the window
+  /// before it already in the chains (a warm-up that inserts them without
+  /// emitting), so the token parse() emits at a position p >= from is the
+  /// one the parse from 0 emits at p, whenever p is on that parse. Tokens
+  /// may start anywhere below \p until_max; the tables are sized for that.
+  ChainParser(const std::uint8_t* input, std::size_t size, std::size_t from,
+              std::size_t until_max, ScratchArena& arena)
+      : base_(from > kWindow ? from - kWindow : 0),
+        input_(input + base_),
+        size_(size - base_),
+        head_lease_(arena.ints()),
+        prev_lease_(arena.ints()),
+        seen_lease_(arena.ints()) {
+    // Inserted positions stay below the end of the last token.
+    const std::size_t table_end = std::min(size_, until_max - base_ + kMaxMatch);
+    head_lease_->assign(kHashSize, -1);
+    if (prev_lease_->size() < table_end) prev_lease_->resize(table_end);
+    seen_shift_ = 32 - seen_bits_for(table_end);
+    seen_lease_->assign(std::size_t{1} << (32 - seen_shift_), -1);
+    head_ = head_lease_->data();
+    prev_ = prev_lease_->data();
+    seen_ = seen_lease_->data();
+    i_ = from - base_;
+    stretch_end_ = i_ + kSeenStretch;
+    const std::size_t warm_end = std::min(i_, size_ >= 4 ? size_ - 3 : 0);
+    for (std::size_t j = 0; j < warm_end; ++j) {
+      std::uint32_t vj;
+      std::memcpy(&vj, input_ + j, 4);
+      const std::uint32_t mixed = vj * kHashMul;
+      const std::uint32_t h = mixed >> (32 - 15);
+      prev_[j] = head_[h];
+      head_[h] = static_cast<std::int32_t>(j);
+      seen_[mixed >> seen_shift_] = static_cast<std::int32_t>(j);
+    }
+  }
 
-  // Positions fit int32: the chunked container caps ranges at chunk_bytes
-  // and callers of the single-stream path are bounded by the container
-  // formats (u32 chunk sizes). Guarded here so a hypothetical >2 GiB range
-  // fails loudly instead of corrupting chains.
-  require(size <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()),
-          "lzss: range exceeds 2 GiB match-table limit");
+  /// Emits tokens from the current position while it is below \p until
+  /// and returns the position after the last one (>= until, or size).
+  std::size_t parse(std::size_t until, BitWriter::Appender& ap);
 
-  ScratchArena local_arena;
-  if (arena == nullptr) arena = &local_arena;
-  ArenaLease<std::int32_t> head_lease = arena->ints();
-  ArenaLease<std::int32_t> prev_lease = arena->ints();
-  ArenaLease<std::int32_t> seen_lease = arena->ints();
-  head_lease->assign(kHashSize, -1);
-  if (prev_lease->size() < size) prev_lease->resize(size);
-  const unsigned seen_shift = 32 - seen_bits_for(size);
-  seen_lease->assign(std::size_t{1} << (32 - seen_shift), -1);
-  std::int32_t* const head = head_lease->data();
-  std::int32_t* const prev = prev_lease->data();
-  std::int32_t* const seen = seen_lease->data();
+ private:
+  std::size_t base_;  ///< range offset of position 0 of the tables
+  const std::uint8_t* input_;
+  std::size_t size_;
+  ArenaLease<std::int32_t> head_lease_, prev_lease_, seen_lease_;
+  std::int32_t* head_ = nullptr;
+  std::int32_t* prev_ = nullptr;
+  std::int32_t* seen_ = nullptr;
+  unsigned seen_shift_ = 0;
+  // Every position inserted at or after seen_from_ is in seen while
+  // track_seen_ holds.
+  bool track_seen_ = true;
+  std::size_t seen_from_ = 0;
+  std::size_t stretch_end_ = 0;
+  std::size_t stretch_literals_ = 0;
+  std::size_t i_ = 0;
+};
 
-  BitWriter::Appender ap(bw);
-  ap.put(kMagic, 32);
-  ap.put(size, 64);
+std::size_t ChainParser::parse(std::size_t until, BitWriter::Appender& ap) {
+  // The loop runs on locals: the appender's word stores could alias the
+  // members, which would pin them to memory.
+  const std::uint8_t* const input = input_;
+  const std::size_t size = size_;
+  std::int32_t* const head = head_;
+  std::int32_t* const prev = prev_;
+  std::int32_t* const seen = seen_;
+  const unsigned seen_shift = seen_shift_;
+  bool track_seen = track_seen_;
+  std::size_t seen_from = seen_from_;
+  std::size_t stretch_end = stretch_end_;
+  std::size_t stretch_literals = stretch_literals_;
+  std::size_t i = i_;
+  until -= base_;
+  // The hot compare is against stop, the nearer of the stretch end and
+  // until, so the loop keeps no more live values than a whole-range parse.
+  std::size_t stop = std::min(stretch_end, until);
 
-  // Every position inserted at or after seen_from is in seen while
-  // track_seen holds.
-  bool track_seen = true;
-  std::size_t seen_from = 0;
-  std::size_t stretch_end = kSeenStretch;
-  std::size_t stretch_literals = 0;
-
-  std::size_t i = 0;
-  while (i < size) {
-    if (i >= stretch_end) {
+  while (true) {
+    if (i >= stop) {
+      if (i >= until) break;
       const bool track = stretch_literals * 16 >= kSeenStretch;
       if (track && !track_seen) seen_from = i;
       track_seen = track;
       stretch_end = i + kSeenStretch;
       stretch_literals = 0;
+      stop = std::min(stretch_end, until);
     }
     std::size_t best_len = 0;
     std::size_t best_dist = 0;
@@ -238,8 +287,146 @@ std::vector<std::uint8_t> encode_range(const std::uint8_t* input, std::size_t si
       ++i;
     }
   }
+  track_seen_ = track_seen;
+  seen_from_ = seen_from;
+  stretch_end_ = stretch_end;
+  stretch_literals_ = stretch_literals;
+  i_ = i;
+  return i + base_;
+}
+
+/// Single-stream encode over a raw byte range (the chunked container calls
+/// this once per chunk, so each chunk's window never reaches outside it).
+/// The tables are leased from \p arena when given.
+std::vector<std::uint8_t> encode_range(const std::uint8_t* input, std::size_t size,
+                                       ScratchArena* arena) {
+  BitWriter bw;
+  // Worst case is all literals: 9 bits per input byte + the 96-bit header.
+  // One reserve up front, no growth in the loop.
+  bw.reserve_bits(size * 9 + 96);
+
+  // Positions fit int32: the chunked container caps ranges at chunk_bytes
+  // and callers of the single-stream path are bounded by the container
+  // formats (u32 chunk sizes). Guarded here so a hypothetical >2 GiB range
+  // fails loudly instead of corrupting chains.
+  require(size <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()),
+          "lzss: range exceeds 2 GiB match-table limit");
+
+  ScratchArena local_arena;
+  ChainParser parser(input, size, 0, size, arena != nullptr ? *arena : local_arena);
+  BitWriter::Appender ap(bw);
+  ap.put(kMagic, 32);
+  ap.put(size, 64);
+  parser.parse(size, ap);
   ap.flush();
   return bw.finish();
+}
+
+/// One slice's speculative parse: the greedy parse started at \p begin as if
+/// it were a token boundary, run until it passes the slice end.
+struct SliceParse {
+  std::size_t begin = 0;
+  std::size_t end = 0;  ///< position after the slice's last token
+  BitWriter bits;       ///< its tokens; slice 0 also carries the header
+};
+
+/// Parses slice [slice.begin, until) of the range [input, input + size).
+/// Slice 0 is the start of the true parse and writes the stream header,
+/// reserving room for the whole stream so the stitch appends in place.
+void parse_slice(const std::uint8_t* input, std::size_t size, std::size_t until,
+                 SliceParse& slice, ScratchArena& arena) {
+  ChainParser parser(input, size, slice.begin, until, arena);
+  const bool first = slice.begin == 0;
+  slice.bits.reserve_bits(first ? size * 9 + 96 : (until - slice.begin) * 9 + 64);
+  BitWriter::Appender ap(slice.bits);
+  if (first) {
+    ap.put(kMagic, 32);
+    ap.put(size, 64);
+  }
+  slice.end = parser.parse(until, ap);
+}
+
+/// Joins the speculative parses of one range's slices into the stream
+/// encode_range() emits for it, byte for byte.
+///
+/// Why a slice parse can be adopted: every covered position is inserted
+/// into the chains (a match inserts all the positions it covers), so when
+/// the parse stands at position p the chains hold exactly the positions
+/// below p, and the walk only visits those in [p - kWindow, p). The token
+/// at p is therefore a function of p and the input alone, not of the
+/// tokens before it; a slice parser that warms its chains over the window
+/// before its start emits the true token at every true boundary it
+/// reaches. Greedy parses that share one position share every token after
+/// it. So the stitch walks each slice's tokens (bits_at decodes their
+/// lengths) against the true parse: once the true parse lands on a slice
+/// token's start, the rest of the slice is appended as it stands. Until
+/// then — the slice start fell inside a true match, and the two parses
+/// have not met yet — a serial parser warmed at the true position
+/// re-parses up to the next slice token, continuing across slices while
+/// they do not meet (input made of maximal matches, such as a constant
+/// run, may never meet: the result is then a serial parse). On the
+/// Huffman-coded SZ stream they meet within a token or two.
+std::vector<std::uint8_t> stitch_slices(const std::uint8_t* input, std::size_t size,
+                                        std::vector<SliceParse>& slices, ScratchArena& arena) {
+  BitWriter out = std::move(slices[0].bits);
+  std::size_t t = slices[0].end;  // the true parse has emitted everything below t
+  std::optional<ChainParser> fix;  // the serial re-parse, at t while set
+  for (std::size_t k = 1; k < slices.size(); ++k) {
+    const SliceParse& slice = slices[k];
+    const std::uint64_t bits = slice.bits.bit_count();
+    std::size_t q = slice.begin;  // the slice token starting at bit b
+    std::uint64_t b = 0;
+    while (q != t) {
+      if (q < t) {
+        if (b == bits) break;  // the slice lies wholly behind t
+        if (slice.bits.bits_at(b, 1) != 0) {
+          q += slice.bits.bits_at(b + 1 + kWindowBits, kLengthBits) + kMinMatch;
+          b += 1 + kWindowBits + kLengthBits;
+        } else {
+          q += 1;
+          b += 9;
+        }
+      } else {
+        if (!fix) fix.emplace(input, size, t, size, arena);
+        BitWriter::Appender ap(out);
+        t = fix->parse(q, ap);
+      }
+    }
+    if (q == t) {
+      out.append(slice.bits, b);
+      t = slice.end;
+      fix.reset();
+    }
+  }
+  return out.finish();
+}
+
+/// Slices per chunk for \p workers, or none when no chunk splits (workers
+/// not more than chunks, or chunks too short). One slice per worker in all:
+/// each extra slice goes to the chunk whose slices are longest, as long as
+/// they stay at least kMinSliceBytes long.
+std::vector<std::size_t> slice_counts(std::size_t size, std::size_t chunk_bytes,
+                                      std::size_t workers) {
+  const std::size_t n_chunks = (size + chunk_bytes - 1) / chunk_bytes;
+  if (n_chunks >= workers) return {};
+  std::vector<std::size_t> counts(n_chunks, 1);
+  bool split = false;
+  for (std::size_t extra = workers - n_chunks; extra > 0; --extra) {
+    std::size_t pick = n_chunks;
+    std::size_t longest = 0;
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      const std::size_t len = std::min(chunk_bytes, size - c * chunk_bytes);
+      if (len / (counts[c] + 1) >= kMinSliceBytes && len / counts[c] > longest) {
+        pick = c;
+        longest = len / counts[c];
+      }
+    }
+    if (pick == n_chunks) break;
+    ++counts[pick];
+    split = true;
+  }
+  if (!split) counts.clear();
+  return counts;
 }
 
 /// The pre-fast-path encoder, byte-at-a-time compares and per-field puts —
@@ -367,14 +554,47 @@ std::vector<std::uint8_t> lzss_encode_chunked(const std::vector<std::uint8_t>& i
   // arena (arenas are not thread-safe) so the head/prev chain tables are
   // allocated once per worker and reused across its chunks.
   std::vector<std::vector<std::uint8_t>> payloads(n_chunks);
-  parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
-    ScratchArena arena;
-    for (std::size_t c = lo; c < hi; ++c) {
-      const std::size_t begin = c * chunk_bytes;
-      const std::size_t end = std::min(begin + chunk_bytes, input.size());
-      payloads[c] = encode_range(input.data() + begin, end - begin, &arena);
+  const auto chunk_len = [&](std::size_t c) {
+    return std::min(chunk_bytes, input.size() - c * chunk_bytes);
+  };
+  const std::vector<std::size_t> counts =
+      slice_counts(input.size(), chunk_bytes, pool != nullptr ? pool->size() : 1);
+  if (counts.empty()) {
+    parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
+      ScratchArena arena;
+      for (std::size_t c = lo; c < hi; ++c) {
+        payloads[c] = encode_range(input.data() + c * chunk_bytes, chunk_len(c), &arena);
+      }
+    }, /*min_grain=*/1);
+  } else {
+    // Chunks split into equal slices parsed in parallel, each then stitched
+    // back into the chunk's exact stream (stitch_slices): the slicing
+    // depends on the pool, the bytes do not.
+    std::vector<std::vector<SliceParse>> slices(n_chunks);
+    std::vector<std::pair<std::size_t, std::size_t>> tasks;  // (chunk, slice)
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      slices[c].resize(counts[c]);
+      for (std::size_t j = 0; j < counts[c]; ++j) {
+        slices[c][j].begin = chunk_len(c) * j / counts[c];
+        tasks.emplace_back(c, j);
+      }
     }
-  }, /*min_grain=*/1);
+    parallel_for(pool, tasks.size(), [&](std::size_t lo, std::size_t hi) {
+      ScratchArena arena;
+      for (std::size_t t = lo; t < hi; ++t) {
+        const auto [c, j] = tasks[t];
+        const std::size_t until = j + 1 < counts[c] ? slices[c][j + 1].begin : chunk_len(c);
+        parse_slice(input.data() + c * chunk_bytes, chunk_len(c), until, slices[c][j], arena);
+      }
+    }, /*min_grain=*/1);
+    parallel_for(pool, n_chunks, [&](std::size_t lo, std::size_t hi) {
+      ScratchArena arena;
+      for (std::size_t c = lo; c < hi; ++c) {
+        payloads[c] =
+            stitch_slices(input.data() + c * chunk_bytes, chunk_len(c), slices[c], arena);
+      }
+    }, /*min_grain=*/1);
+  }
 
   BitWriter header;
   header.put(kChunkedMagic, 32);

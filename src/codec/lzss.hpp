@@ -41,6 +41,18 @@ std::vector<std::uint8_t> lzss_decode(const std::vector<std::uint8_t>& input);
 /// geometry is fixed by chunk_bytes — never the pool size — so the output is
 /// byte-identical for any thread count. Matches at chunk boundaries are
 /// forfeited (~0.1% ratio loss at the default size).
+///
+/// When a pool has more workers than there are chunks, the encoder also
+/// splits inside chunks: one slice per worker in all (each at least one
+/// 64 KiB window long), each parsed greedily from its start by a worker
+/// that first warms its hash chains over the window before it, then a
+/// stitch adopts each slice's tokens from the first position where the
+/// true parse lands on one and re-parses serially until then. The token at
+/// a position depends only on the input, never on the tokens before it
+/// (every covered position is in the chains), so each chunk's stream stays
+/// byte-identical to the serial one (and to lzss_encode_reference); the
+/// slicing depends on the pool, the bytes do not. A null or one-worker pool
+/// runs the plain per-chunk encoder.
 std::vector<std::uint8_t> lzss_encode_chunked(const std::vector<std::uint8_t>& input,
                                               ThreadPool* pool = nullptr,
                                               std::size_t chunk_bytes = 0);

@@ -136,7 +136,8 @@ std::vector<CBenchResult> CBench::sweep(
       options_.threads == 1 || !compressor.concurrent_sessions_safe() || jobs.size() <= 1;
   if (serial) {
     // One session runs at a time, so intra-field threading is free to use
-    // the whole knob. (The simulated-GPU codecs ignore the pool.)
+    // the whole knob. (The simulated-GPU codecs thread only their host twin
+    // on it; their modeled timings do not depend on the pool.)
     const PoolHandle intra(options_.session_threads);
     const std::unique_ptr<CodecSession> session =
         compressor.open_session(nullptr, intra.get());

@@ -66,12 +66,16 @@ double stream_bitrate(std::size_t compressed_bytes, std::size_t values) {
 }
 
 /// The modeled device step of one stage. \p model runs the simulator's
-/// timing model; a TransientError is retried with seeded-jitter backoff
-/// (each retry sequence claims its own decorrelation salt on the first
-/// fault, so concurrent jobs cannot herd) and propagates once the attempts
-/// are spent. Device OOM degrades the stage to its host codec: the output
-/// the host codec already produced is kept (bit-identical by construction)
-/// and \p host_seconds of measured wall time replaces the modeled breakdown.
+/// timing model on the calling thread, after the (possibly pooled) host
+/// encode/decode has joined, so its jitter draws follow the call order
+/// alone and never the session's thread count. A TransientError is retried
+/// with seeded-jitter backoff (each retry sequence claims its own
+/// decorrelation salt on the first fault, so concurrent jobs cannot herd)
+/// and propagates once the attempts are spent. Device OOM degrades the
+/// stage to its host codec: the output the host codec already produced is
+/// kept (bit-identical by construction, for any pool) and \p host_seconds,
+/// the measured wall time of that pooled host run, replaces the modeled
+/// breakdown.
 template <typename Model>
 void model_device_stage(StageTelemetry& telemetry, double host_seconds, Model&& model) {
   std::uint64_t salt = 0;
@@ -107,7 +111,7 @@ CodecSession::CodecSession(const CodecRegistry::Entry& codec, gpu::GpuSimulator*
       sim_(codec.caps.needs_device ? sim : nullptr),
       owned_(arena ? nullptr : std::make_unique<ScratchArena>()),
       arena_(arena ? arena : owned_.get()),
-      pool_(codec.caps.needs_device ? nullptr : pool) {}
+      pool_(pool) {}
 
 void CodecSession::compress(const Field& field, const CompressorConfig& config,
                             CompressResult& out) {
@@ -139,7 +143,7 @@ void CodecSession::compress(const Field& field, const CompressorConfig& config,
   }
   TRACE_SPAN("gpu.device.compress");
   Timer timer;
-  codec_.host.encode(values, dims, config, nullptr, out.bytes);
+  codec_.host.encode(values, dims, config, pool_, out.bytes);
   const double host_seconds = timer.seconds();
   // The kernel runs at the requested bitrate in fixed-rate mode; otherwise
   // at the achieved one, known only after the encoder ran.
@@ -167,7 +171,7 @@ void CodecSession::decompress(const CompressResult& compressed, DecompressResult
   out.telemetry.reset_gpu();
   TRACE_SPAN("gpu.device.decompress");
   Timer timer;
-  codec_.host.decode(compressed.bytes, nullptr, out.values);
+  codec_.host.decode(compressed.bytes, pool_, out.values);
   const double host_seconds = timer.seconds();
   // The device produces the padded reshape, so the model sees its size.
   const std::size_t decoded = out.values.size();

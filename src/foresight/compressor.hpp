@@ -91,14 +91,14 @@ class CodecSession {
   /// The arena backing this session's scratch allocations.
   [[nodiscard]] ScratchArena& arena() { return *arena_; }
 
-  /// The pool this session's intra-field kernels fan out on (null = serial;
-  /// always null for device codecs).
+  /// The pool this session's intra-field kernels fan out on (null = serial).
+  /// Device codecs thread their host encode/decode on it too.
   [[nodiscard]] ThreadPool* pool() const { return pool_; }
 
  private:
   friend class Compressor;
-  /// Borrows \p arena, or owns a private one when \p arena is null. Device
-  /// codecs keep \p sim and drop \p pool; host codecs do the reverse.
+  /// Borrows \p arena, or owns a private one when \p arena is null. Only
+  /// device codecs keep \p sim; every codec keeps \p pool.
   CodecSession(const CodecRegistry::Entry& codec, gpu::GpuSimulator* sim, ScratchArena* arena,
                ThreadPool* pool);
 
@@ -134,10 +134,13 @@ class Compressor {
 
   /// Opens a session; pass an arena to share scratch buffers, or null to
   /// let the session own one. \p pool threads the session's intra-field
-  /// hot paths (null = serial); the CPU codecs guarantee byte-identical
-  /// output for any thread count. The simulated-GPU codecs ignore the pool
-  /// (their modeled timings must stay call-order deterministic), and so
-  /// does zfp-omp (its chunks fan out over the global pool).
+  /// hot paths (null = serial); every host codec guarantees byte-identical
+  /// output for any thread count. The simulated-GPU codecs thread their
+  /// host twin on the pool as well: their modeled timings stay call-order
+  /// deterministic because the simulator runs once per stage on the
+  /// calling thread, after the pooled host encode/decode has joined, so
+  /// the pool changes wall time only. zfp-omp ignores the pool (its chunks
+  /// fan out over the global pool).
   [[nodiscard]] std::unique_ptr<CodecSession> open_session(ScratchArena* arena = nullptr,
                                                            ThreadPool* pool = nullptr) const;
 

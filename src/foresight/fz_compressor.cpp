@@ -7,9 +7,9 @@
 /// wired into sweeps, the optimizer, the pipeline, CBench, the CLI and the
 /// bench binaries without any dispatch layer naming it. fz-cpu measures
 /// host wall time and threads the chunk pipeline on the session pool;
-/// fz-gpu runs the same bit-exact pair under the simulator's "fz"
-/// kernel-rate profile, and on device OOM keeps the stream the host pair
-/// already produced (fallback recorded).
+/// fz-gpu runs the same bit-exact pair, on the same session pool, under
+/// the simulator's "fz" kernel-rate profile, and on device OOM keeps the
+/// stream the host pair already produced (fallback recorded).
 #include "foresight/compressor.hpp"
 
 #include "fz/fz.hpp"

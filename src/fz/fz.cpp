@@ -115,6 +115,9 @@ void zero_run_encode_into(std::span<const std::uint8_t> planes, ByteWriter& w) {
   const std::size_t groups = ceil_div(planes.size(), kGroupBytes);
   const std::size_t bitmap_bytes = ceil_div(groups, 8);
   const std::size_t bitmap_at = w.bytes.size();
+  // Worst case (every group nonzero) reserved once: the group appends below
+  // never reallocate.
+  w.bytes.reserve(bitmap_at + bitmap_bytes + planes.size());
   w.bytes.resize(bitmap_at + bitmap_bytes, 0);
   for (std::size_t g = 0; g < groups; ++g) {
     const std::size_t lo = g * kGroupBytes;

@@ -18,6 +18,7 @@
 #include "codec/huffman.hpp"
 #include "codec/lzss.hpp"
 #include "common/error.hpp"
+#include "fz/fz.hpp"
 #include "random/rng.hpp"
 #include "sz/sz.hpp"
 #include "zfp/zfp.hpp"
@@ -164,6 +165,25 @@ TEST(AllocCounts, ZfpDecompressStaysFlat) {
       return allocations_of([&] { (void)zfp::decompress(bytes); });
     });
   }
+}
+
+// One chunk spans the whole input, so the count cannot hide behind the
+// chunk count. The chunk's zero-run stream reserves its worst case (bitmap
+// plus every group) once, so its allocation count does not even depend on
+// how many groups are nonzero: all-zero and all-nonzero planes match.
+TEST(AllocCounts, FzCompressStaysFlat) {
+  fz::Params params;
+  params.abs_error_bound = 1e-3;
+  expect_flat("fz::compress", [&](std::size_t n) {
+    Dims dims;
+    const auto field = smooth_field(n, &dims);
+    params.chunk_values = n;
+    return allocations_of([&] { (void)fz::compress(field, dims, params); });
+  });
+  const std::vector<std::uint8_t> zero(kLarge, 0);
+  const std::vector<std::uint8_t> dense(kLarge, 1);
+  EXPECT_EQ(allocations_of([&] { (void)fz::zero_run_encode(dense); }),
+            allocations_of([&] { (void)fz::zero_run_encode(zero); }));
 }
 
 // The counter sees the allocations the library makes: a passing check with

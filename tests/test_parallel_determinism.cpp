@@ -6,8 +6,11 @@
 /// leave ragged chunk boundaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/cic.hpp"
@@ -15,10 +18,14 @@
 #include "analysis/power_spectrum.hpp"
 #include "codec/huffman.hpp"
 #include "codec/lzss.hpp"
+#include "common/fault.hpp"
 #include "common/thread_pool.hpp"
 #include "cosmo/hacc_synth.hpp"
 #include "cosmo/nyx_synth.hpp"
 #include "fft/fft.hpp"
+#include "foresight/compressor.hpp"
+#include "gpu/sim.hpp"
+#include "gpu/specs.hpp"
 #include "random/rng.hpp"
 #include "sz/pwrel.hpp"
 #include "sz/sz.hpp"
@@ -162,6 +169,237 @@ TEST(ParallelDeterminism, ChunkedLzssRoundtripAndIdentical) {
     EXPECT_TRUE(bytes_equal(bytes, baseline));
     EXPECT_EQ(lzss_decode_chunked(bytes, pool.get()), input);
     EXPECT_EQ(lzss_decode(bytes), input);
+  }
+}
+
+/// Pools for the intra-chunk LZSS split: serial, one worker (never splits),
+/// and counts that cut a chunk into 2, 3, 4 and 7 slices.
+std::vector<std::unique_ptr<ThreadPool>> lzss_pools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const std::size_t n : {1, 2, 3, 4, 7}) pools.push_back(std::make_unique<ThreadPool>(n));
+  return pools;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  return out;
+}
+
+/// The SZ stream before its LZSS stage (lossless off drops the stage; the
+/// first byte is the stage flag).
+std::vector<std::uint8_t> pre_lzss_stream(const Field& field, double range_fraction) {
+  const auto [lo, hi] = std::minmax_element(field.data.begin(), field.data.end());
+  sz::Params params;
+  params.abs_error_bound = range_fraction * static_cast<double>(*hi - *lo);
+  params.lossless = false;
+  const auto bytes = sz::compress(field.data, field.dims, params);
+  return {bytes.begin() + 1, bytes.end()};
+}
+
+/// Every pool must reproduce lzss_encode_reference: as one chunk holding
+/// the whole input (so the pool splits that chunk), and through the default
+/// 1 MiB chunk geometry against the serial path.
+void expect_lzss_matches_reference(const std::vector<std::uint8_t>& input,
+                                   const std::vector<std::unique_ptr<ThreadPool>>& pools,
+                                   const std::string& what) {
+  SCOPED_TRACE(what + ", " + std::to_string(input.size()) + " bytes");
+  const auto reference = lzss_encode_reference(input);
+  const auto serial = lzss_encode_chunked(input);
+  const std::size_t whole = std::max<std::size_t>(input.size(), 1);
+  for (const auto& pool : pools) {
+    SCOPED_TRACE("pool " + std::to_string(pool ? pool->size() : 0));
+    const auto one_chunk = lzss_encode_chunked(input, pool.get(), whole);
+    // Container: 20-byte header, one 4-byte length, then the chunk stream.
+    if (input.empty()) {
+      EXPECT_EQ(one_chunk.size(), 20u);
+    } else {
+      ASSERT_EQ(one_chunk.size(), 24 + reference.size());
+      EXPECT_TRUE(std::equal(reference.begin(), reference.end(), one_chunk.begin() + 24));
+    }
+    const auto chunked = lzss_encode_chunked(input, pool.get());
+    EXPECT_TRUE(bytes_equal(chunked, serial));
+    EXPECT_EQ(lzss_decode(chunked), input);
+  }
+}
+
+TEST(ParallelDeterminism, LzssIntraChunkMatchesReference) {
+  constexpr std::size_t kWindow = 1u << 16;
+  constexpr std::size_t kMaxMatch = 259;
+  constexpr std::size_t kChunk = 1u << 20;
+  const auto pools = lzss_pools();
+
+  for (const std::size_t n : {std::size_t{0}, std::size_t{3}, std::size_t{4}, kWindow - 1,
+                              kWindow + 1, 2 * kWindow - 1, 2 * kWindow + 1, kChunk - 1,
+                              kChunk + 1}) {
+    expect_lzss_matches_reference(random_bytes(n, 40 + n), pools, "random");
+  }
+  expect_lzss_matches_reference(std::vector<std::uint8_t>(600001, 0), pools, "all zero");
+  {
+    std::vector<std::uint8_t> period3(600001);
+    for (std::size_t i = 0; i < period3.size(); ++i) period3[i] = "abc"[i % 3];
+    expect_lzss_matches_reference(period3, pools, "period 3");
+  }
+  {
+    // One period more than the window: every repeat sits just out of reach.
+    const auto period = random_bytes(kWindow + 1, 41);
+    std::vector<std::uint8_t> input(600001);
+    for (std::size_t i = 0; i < input.size(); ++i) input[i] = period[i % period.size()];
+    expect_lzss_matches_reference(input, pools, "period 65537");
+  }
+  {
+    // Short matches everywhere: slice and true parses need a few tokens to
+    // meet.
+    Rng rng(42);
+    std::vector<std::uint8_t> input(700001);
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      input[i] = static_cast<std::uint8_t>((i / 9) % 31 + rng.uniform_index(4));
+    }
+    expect_lzss_matches_reference(input, pools, "short repeats");
+  }
+  {
+    // kMaxMatch-long matches straddling every slice start a one-chunk
+    // split of 1 MiB can have (len * j / m for m = 2..7 slices), and a run
+    // of back-to-back ones across each.
+    auto input = random_bytes(kChunk, 43);
+    for (std::size_t m = 2; m <= 7; ++m) {
+      for (std::size_t j = 1; j < m; ++j) {
+        const std::size_t start = kChunk * j / m;
+        const std::size_t at = start - kMaxMatch / 2 - 3 * m;
+        const std::size_t from = at - 1000 - 17 * j;
+        std::copy_n(input.begin() + static_cast<std::ptrdiff_t>(from), 4 * kMaxMatch,
+                    input.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+    }
+    expect_lzss_matches_reference(input, pools, "straddling matches");
+  }
+
+  NyxConfig config;
+  config.dim = 64;
+  config.seed = 44;
+  const auto nyx = generate_nyx(config);
+  // The Huffman-coded SZ stream at a typical bound (LZSS does not pack it),
+  // and, at 1e-1 of the range where LZSS does pack, the six fields' streams
+  // back to back (one is too short to split).
+  expect_lzss_matches_reference(pre_lzss_stream(nyx.find("baryon_density").field, 1e-3),
+                                pools, "nyx baryon_density SZ stream");
+  std::vector<std::uint8_t> packing;
+  for (const char* name : kNyxFieldNames) {
+    const auto stream = pre_lzss_stream(nyx.find(name).field, 1e-1);
+    packing.insert(packing.end(), stream.begin(), stream.end());
+  }
+  ASSERT_LT(lzss_encode(packing).size(), packing.size());
+  expect_lzss_matches_reference(packing, pools, "nyx SZ streams at 1e-1");
+
+  // And through SZ itself: every field's stream is byte-identical across
+  // pools at 1e-1, where the densities and temperature keep the LZSS stage.
+  std::size_t packed = 0;
+  for (const char* name : kNyxFieldNames) {
+    SCOPED_TRACE(name);
+    const Field& field = nyx.find(name).field;
+    const auto [lo, hi] = std::minmax_element(field.data.begin(), field.data.end());
+    sz::Params params;
+    params.abs_error_bound = 1e-1 * static_cast<double>(*hi - *lo);
+    const auto baseline = sz::compress(field.data, field.dims, params);
+    packed += baseline.front();
+    for (const auto& pool : pools) {
+      EXPECT_TRUE(
+          bytes_equal(sz::compress(field.data, field.dims, params, nullptr, pool.get()),
+                      baseline));
+    }
+  }
+  EXPECT_GE(packed, 3u);
+}
+
+/// One device-codec session's results over a fixed call sequence. Each run
+/// gets its own identically seeded simulator (and fault plan), so the
+/// modeled timings line up exactly iff the pool leaves the draws alone.
+struct DeviceRun {
+  std::vector<foresight::CompressResult> compressed;
+  std::vector<foresight::DecompressResult> decompressed;
+};
+
+DeviceRun run_device_session(const std::string& codec, const io::Container& data,
+                             ThreadPool* pool, const fault::Config* faults) {
+  gpu::GpuSimulator sim(gpu::find_device("V100"));
+  std::optional<fault::FaultPlan> plan;
+  if (faults != nullptr) {
+    plan.emplace(*faults);
+    sim.set_fault_plan(&*plan);
+  }
+  const auto compressor = foresight::make_compressor(codec, &sim);
+  const auto session = compressor->open_session(nullptr, pool);
+  EXPECT_EQ(session->pool(), pool);
+  DeviceRun run;
+  for (const char* name : {"baryon_density", "temperature", "velocity_x", "dark_matter_density"}) {
+    const Field& field = data.find(name).field;
+    const auto [lo, hi] = std::minmax_element(field.data.begin(), field.data.end());
+    const foresight::CompressorConfig config =
+        codec == "cuzfp" ? foresight::CompressorConfig{"rate", 8.0}
+                         : foresight::CompressorConfig{"abs", 1e-3 * (*hi - *lo)};
+    run.compressed.push_back(session->compress(field, config));
+    run.decompressed.push_back(session->decompress(run.compressed.back()));
+  }
+  return run;
+}
+
+void expect_same_stage(const StageTelemetry& a, const StageTelemetry& b) {
+  EXPECT_EQ(a.has_gpu_timing, b.has_gpu_timing);
+  EXPECT_EQ(a.cpu_fallback, b.cpu_fallback);
+  EXPECT_EQ(a.device_attempts, b.device_attempts);
+  EXPECT_EQ(a.gpu_timing.init, b.gpu_timing.init);
+  EXPECT_EQ(a.gpu_timing.kernel, b.gpu_timing.kernel);
+  EXPECT_EQ(a.gpu_timing.memcpy, b.gpu_timing.memcpy);
+  EXPECT_EQ(a.gpu_timing.free, b.gpu_timing.free);
+  // Modeled seconds are exact; a fallback's are measured host wall time.
+  if (!a.cpu_fallback) {
+    EXPECT_EQ(a.seconds, b.seconds);
+  }
+}
+
+TEST(ParallelDeterminism, DeviceSessionsMatchAcrossPools) {
+  NyxConfig config;
+  config.dim = 64;
+  config.seed = 45;
+  const auto data = generate_nyx(config);
+  fault::Config faults;
+  faults.gpu_transient_every = 3;
+  faults.gpu_oom_every = 4;
+  const fault::Config* const plans[] = {nullptr, &faults};
+  for (const fault::Config* plan : plans) {
+    for (const std::string codec : {"gpu-sz", "cuzfp", "fz-gpu"}) {
+      SCOPED_TRACE(codec + (plan ? " with faults" : ""));
+      const DeviceRun baseline = run_device_session(codec, data, nullptr, plan);
+      bool retried = false;
+      bool fell_back = false;
+      for (const auto& c : baseline.compressed) {
+        retried |= c.telemetry.device_attempts > 1;
+        fell_back |= c.telemetry.cpu_fallback;
+      }
+      for (const auto& d : baseline.decompressed) {
+        retried |= d.telemetry.device_attempts > 1;
+        fell_back |= d.telemetry.cpu_fallback;
+      }
+      EXPECT_EQ(retried, plan != nullptr);
+      EXPECT_EQ(fell_back, plan != nullptr);
+      for (const std::size_t threads : {2, 7}) {
+        ThreadPool pool(threads);
+        const DeviceRun run = run_device_session(codec, data, &pool, plan);
+        ASSERT_EQ(run.compressed.size(), baseline.compressed.size());
+        for (std::size_t i = 0; i < run.compressed.size(); ++i) {
+          SCOPED_TRACE("call " + std::to_string(i) + ", " + std::to_string(threads) + " threads");
+          const auto& c = run.compressed[i];
+          const auto& d = run.decompressed[i];
+          EXPECT_TRUE(bytes_equal(c.bytes, baseline.compressed[i].bytes));
+          EXPECT_EQ(c.throughput_reportable, baseline.compressed[i].throughput_reportable);
+          expect_same_stage(c.telemetry, baseline.compressed[i].telemetry);
+          EXPECT_TRUE(floats_identical(d.values, baseline.decompressed[i].values));
+          expect_same_stage(d.telemetry, baseline.decompressed[i].telemetry);
+        }
+      }
+    }
   }
 }
 

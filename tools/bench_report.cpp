@@ -141,7 +141,8 @@ constexpr const char* kUsage =
     "       bench_report --kernels [--edge N] [--repeats R] [--out FILE]\n"
     "                    [--pre FILE] [--baseline FILE] [--max-regress F]\n"
     "                    [--check-crc FILE]\n"
-    "  single-thread per-kernel microbenchmarks -> BENCH_kernels.json;\n"
+    "  single-thread per-kernel microbenchmarks -> BENCH_kernels.json\n"
+    "  (rows suffixed _4t run on a 4-worker pool);\n"
     "  each kernel runs R repeats (default 3) and reports the best,\n"
     "  which damps run-to-run drift\n"
     "  --pre embeds a previous run's rates as pre_pr_mb_s + speedup;\n"
@@ -289,6 +290,17 @@ int run_kernel_bench(std::size_t edge, int repeats, const std::string& out_path,
     lz = lzss_encode_chunked(huff, nullptr);
     return crc32(lz.data(), lz.size());
   }));
+  // The same input on a 4-worker pool (chunks fan out; chunks fewer than
+  // workers split into stitched slices): same stream, so same output_crc32.
+  {
+    ThreadPool pool4(4);
+    std::vector<std::uint8_t> lz4;
+    results.push_back(bench_kernel("lzss_encode_4t", huff.size(), repeats, [&] {
+      lz4 = lzss_encode_chunked(huff, &pool4);
+      return crc32(lz4.data(), lz4.size());
+    }));
+    require(lz4 == lz, "bench: 4-thread lzss stream differs from the serial one");
+  }
   results.push_back(bench_kernel("lzss_decode", huff.size(), repeats, [&] {
     const std::vector<std::uint8_t> decoded = lzss_decode_chunked(lz, nullptr);
     require(decoded == huff, "bench: lzss round trip mismatch");

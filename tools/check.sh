@@ -148,18 +148,20 @@ fi
 case "${mode}" in
   tsan)
     # The parallel surface: pool/parallel_for internals, the sweep scheduler,
-    # and every threaded kernel via the cross-thread-count determinism suite.
+    # and every threaded kernel via the cross-thread-count determinism suite
+    # (which includes the pooled device sessions and the LZSS slice split).
     TSAN_OPTIONS="halt_on_error=1" "${build_dir}/tests/cosmo_tests" \
       --gtest_filter='ThreadPool*:*Sweep*:*Parallel*:ParallelDeterminism.*:FftTwiddleCache.*:Foresightd*'
     ;;
   asan)
-    # The codec surface: bitstream I/O, entropy/dictionary coders, ZFP block
+    # The codec surface: bitstream I/O, entropy/dictionary coders (with the
+    # LZSS slice stitch against the reference encoder), ZFP block
     # transforms, and the malformed-stream suite (truncated/corrupted inputs
     # must throw, never touch out-of-bounds memory).
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       "${build_dir}/tests/cosmo_tests" \
-      --gtest_filter='BitStream.*:Huffman.*:Rle.*:Lzss.*:CodecFastPaths.*:Zfp*.*:Sz.*:Robustness.*'
+      --gtest_filter='BitStream.*:Huffman.*:Rle.*:Lzss.*:CodecFastPaths.*:Zfp*.*:Sz.*:Robustness.*:ParallelDeterminism.LzssIntraChunkMatchesReference'
     ;;
   ubsan)
     # Full suite: UBSan alone is cheap enough to run everything.
